@@ -57,7 +57,8 @@ struct CpuConfig {
 enum class FastBail : u8 {
   kNone = 0,
   kNoSuperblocks,  // superblock cache not wired (tier disabled)
-  kFrontendBusy,   // fetch queue/machinery not drained, or PC skew
+  kFrontendBusy,   // fetch on the bus, flushed fetch, or a queue that
+                   // does not continue the superblock
   kCoreState,      // wfi, halted, pending trap or acceptable interrupt
   kDataBusy,       // load/store in flight or a bus port still busy
   kNoBlock,        // no superblock covers next_pc (or it is empty)
@@ -124,8 +125,10 @@ class Cpu {
   // cycle with step() and gets the identical observable outcome.
 
   /// Fast-tier cursor over one superblock. `front`/`count` are the
-  /// virtualised fetch queue (indices into blk->ops); the real fetch
-  /// machinery fields (fetch_pc_, fetch_state_, ...) stay live.
+  /// virtualised fetch queue (indices into blk->ops): on entry it holds
+  /// whatever the real queue held, and fetch_queue_ stays empty until
+  /// fast_exit(). The real fetch machinery fields (fetch_pc_,
+  /// fetch_state_, ...) stay live, including a local fetch in flight.
   struct FastWindow {
     const isa::Superblock* blk = nullptr;
     u32 front = 0;
@@ -136,10 +139,14 @@ class Cpu {
     bool left_chunk = false;
   };
 
-  /// Try to open a fast window at the current PC. Requires a fully
-  /// drained core (empty fetch queue, idle fetch/data paths, nothing
-  /// pending) so the virtualised queue starts empty. Returns false when
-  /// any condition fails or no superblock covers next_pc().
+  /// Try to open a fast window at the current PC. The core needs no bus
+  /// traffic (no fetch on the bus, no load or store pending, both ports
+  /// idle) and nothing pending, but its local front end may be live: the
+  /// queued instructions are adopted as the virtual queue when they are
+  /// consecutive ops of the superblock at next_pc() and equal its
+  /// predecoded Instrs, and a local fetch that continues them stays in
+  /// flight. Returns false when any condition fails or no superblock
+  /// covers next_pc().
   bool fast_enter(FastWindow& fw);
 
   /// Execute one cycle inside the window. Returns false (machine

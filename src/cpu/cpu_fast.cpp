@@ -418,10 +418,9 @@ bool Cpu::needs_slow_step() const {
 
 bool Cpu::fast_enter(FastWindow& fw) {
   if (env_.superblocks == nullptr) return bail(FastBail::kNoSuperblocks);
-  // A fully drained core: the virtualised fetch queue starts empty and
-  // the real fetch machinery fields describe an idle front end.
-  if (!fetch_queue_.empty()) return bail(FastBail::kFrontendBusy);
-  if (fetch_state_ != FetchState::kIdle || fetch_discard_) {
+  // A fetch on the bus, or a flushed one whose result is still to be
+  // dropped, is traffic the window cannot carry.
+  if (fetch_state_ == FetchState::kBusWait || fetch_discard_) {
     return bail(FastBail::kFrontendBusy);
   }
   if (wfi_ || needs_slow_step()) return bail(FastBail::kCoreState);
@@ -429,7 +428,6 @@ bool Cpu::fast_enter(FastWindow& fw) {
   if (!fetch_port_.idle() || !data_port_.idle()) {
     return bail(FastBail::kDataBusy);
   }
-  if (fetch_pc_ != next_pc_) return bail(FastBail::kFrontendBusy);
   const isa::Superblock* blk = env_.superblocks->lookup(next_pc_);
   if (blk == nullptr || blk->ops.empty()) return bail(FastBail::kNoBlock);
   if (blk->pspr) {
@@ -441,9 +439,38 @@ bool Cpu::fast_enter(FastWindow& fw) {
       return bail(FastBail::kCodeRoute);
     }
   }
+
+  // Adopt the live local front end. The queued instructions become the
+  // virtual queue when they are consecutive ops of this chunk starting at
+  // next_pc_ and equal to its predecode: a store may have rewritten a
+  // queued word since it was fetched, and the core must still run the
+  // stale copy it holds. An in-flight local fetch that continues them
+  // stays in flight for fast_cycle to deliver.
+  const u32 nops = static_cast<u32>(blk->ops.size());
+  const u32 front = blk->index_of(next_pc_);
+  const u32 count = static_cast<u32>(fetch_queue_.size());
+  if (front + count > nops) return bail(FastBail::kFrontendBusy);
+  for (u32 k = 0; k < count; ++k) {
+    const Fetched& f = fetch_queue_[k];
+    if (f.pc != next_pc_ + k * isa::kInstrBytes ||
+        f.instr != blk->ops[front + k].instr) {
+      return bail(FastBail::kFrontendBusy);
+    }
+  }
+  Addr fetched_end = next_pc_ + count * isa::kInstrBytes;
+  if (fetch_state_ == FetchState::kLocalWait) {
+    if (fetch_addr_ != fetched_end) return bail(FastBail::kFrontendBusy);
+    // Its delivery must stay inside the chunk (fast_cycle would bail on
+    // the first cycle otherwise).
+    if (front + count + fetch_words_ > nops) return bail(FastBail::kChunkTail);
+    fetched_end += fetch_words_ * isa::kInstrBytes;
+  }
+  if (fetch_pc_ != fetched_end) return bail(FastBail::kFrontendBusy);
+
+  fetch_queue_.clear();  // fast_exit() rebuilds it from the ops
   fw.blk = blk;
-  fw.front = 0;
-  fw.count = 0;
+  fw.front = front;
+  fw.count = count;
   fw.left_chunk = false;
   return true;
 }

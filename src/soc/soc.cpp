@@ -643,12 +643,21 @@ u64 Soc::run_fast_window(u64 max_cycles, FrameSink* sink) {
     ++exec_stats_.gates[static_cast<unsigned>(reason)];
     return 0;
   };
+  const auto bail = [this](cpu::FastBail reason) -> u64 {
+    ++exec_stats_.bails[static_cast<unsigned>(reason)];
+    return 0;
+  };
   // Window invariants (see cpu_fast.cpp): nothing outside the TC may act
   // during the window. A fault injector disables the tier outright; the
   // phase probe times step() phases that don't exist in a window.
   if (injector_ != nullptr || probe_ != nullptr) {
     return gate(FastGate::kInstrumented);
   }
+  // The TC's own bus traffic is the common blocker on flash-bound code (a
+  // load waiting on the flash data port). Test it with plain field reads
+  // before any scan, so such a decline costs O(1).
+  if (!tc_->data_port().idle()) return bail(cpu::FastBail::kDataBusy);
+  if (tc_->fetch_on_bus()) return bail(cpu::FastBail::kFrontendBusy);
   if (!dma_.quiescent() || !sri_.idle()) return gate(FastGate::kFabricBusy);
   if (irq_router_.raises_pending()) return gate(FastGate::kIrqPending);
   if (pcp_ != nullptr &&
@@ -677,10 +686,7 @@ u64 Soc::run_fast_window(u64 max_cycles, FrameSink* sink) {
   }
 
   cpu::Cpu::FastWindow fw;
-  if (!tc_->fast_enter(fw)) {
-    ++exec_stats_.bails[static_cast<unsigned>(tc_->last_fast_bail())];
-    return 0;
-  }
+  if (!tc_->fast_enter(fw)) return bail(tc_->last_fast_bail());
   ++exec_stats_.windows;
 
   // Frame parts that are invariant across the window. With the fabric
@@ -720,7 +726,7 @@ u64 Soc::run_fast_window(u64 max_cycles, FrameSink* sink) {
     // A bail leaves the machine (and cycle_) untouched; the dirtied frame
     // is rewritten by the step() that replays this cycle.
     if (!tc_->fast_cycle(fw, now, frame_.tc)) {
-      ++exec_stats_.bails[static_cast<unsigned>(tc_->last_fast_bail())];
+      bail(tc_->last_fast_bail());
       break;
     }
     cycle_ = now;
@@ -742,7 +748,7 @@ u64 Soc::run_fast_window(u64 max_cycles, FrameSink* sink) {
           open = true;
           ++exec_stats_.windows;
         } else {
-          ++exec_stats_.bails[static_cast<unsigned>(tc_->last_fast_bail())];
+          bail(tc_->last_fast_bail());
           break;
         }
       }

@@ -6,6 +6,7 @@
 // only permitted difference is host wall-clock.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -33,7 +34,8 @@ using FrameHasher = soc::FrameStreamHasher;
 
 // ---- whole-run observation ------------------------------------------
 
-/// Everything we require to be identical between the two tiers.
+/// Everything we require to be identical between the two tiers, plus the
+/// tier's own coverage counters (`exec`, which by definition differ).
 struct Observed {
   u64 steps = 0;
   u64 cycles = 0;
@@ -41,9 +43,11 @@ struct Observed {
   bool halted = false;
   u64 frames = 0;
   u64 frame_hash = 0;
+  std::array<u32, 16> d{};
   std::vector<std::string> metrics;  // "component/name=value"
   std::string cpi_csv;
   std::string interference_csv;
+  soc::ExecTierStats exec;
 };
 
 template <typename Workload, typename Install>
@@ -67,6 +71,8 @@ Observed run_tier(const Workload& w, Install install, ExecTier tier,
   o.halted = soc.tc().halted();
   o.frames = hasher.frames;
   o.frame_hash = hasher.hash;
+  for (unsigned r = 0; r < 16; ++r) o.d[r] = soc.tc().d(r);
+  o.exec = soc.exec_stats();
   for (const telemetry::MetricSample& s :
        registry.collect(soc.cycle()).samples) {
     // The exec/ coverage counters are host-side observability that by
@@ -87,6 +93,7 @@ void expect_identical(const Observed& fast, const Observed& accurate) {
   EXPECT_EQ(fast.halted, accurate.halted);
   EXPECT_EQ(fast.frames, accurate.frames);
   EXPECT_EQ(fast.frame_hash, accurate.frame_hash);
+  EXPECT_EQ(fast.d, accurate.d);
   EXPECT_EQ(fast.metrics, accurate.metrics);
   EXPECT_EQ(fast.cpi_csv, accurate.cpi_csv);
   EXPECT_EQ(fast.interference_csv, accurate.interference_csv);
@@ -378,6 +385,191 @@ TEST(ExecTier, SelfModifyingCodeBitIdentical) {
   EXPECT_EQ(results[0].retired, results[1].retired);
   EXPECT_EQ(results[0].frames, results[1].frames);
   EXPECT_EQ(results[0].frame_hash, results[1].frame_hash);
+}
+
+// ---- live front-end adoption ------------------------------------------
+//
+// A window opens on a core whose fetch queue still holds instructions
+// (and whose next local fetch may be in flight) when the queue continues
+// the superblock at next_pc. These programs pin what that may and may not
+// adopt.
+
+struct AsmWorkload {
+  isa::Program program;
+};
+
+AsmWorkload assemble_workload(std::string_view source) {
+  auto program = isa::assemble(source);
+  EXPECT_TRUE(program.is_ok()) << program.status().to_string();
+  return AsmWorkload{std::move(program).value()};
+}
+
+const auto kInstallAsm = [](soc::Soc& soc, const AsmWorkload& w) {
+  const Status loaded = soc.load(w.program);
+  soc.reset(w.program.entry());
+  return loaded;
+};
+
+u64 bails(const Observed& o, cpu::FastBail reason) {
+  return o.exec.bails[static_cast<unsigned>(reason)];
+}
+
+// The engine's flash-bound shape: one bus load per iteration, its
+// consumer, then a long run of ALU work and a backward branch. While the
+// load is outstanding the queue fills up behind the consumer.
+constexpr std::string_view kLoadThenAluLoop = R"(
+    .text 0xC8000000
+main:
+    movha a4, 0x9000      ; LMU, behind the bus
+    movd  d0, 0
+    movd  d1, 1
+    movd  d2, 300
+loop:
+    ld.w  d3, [a4+0]
+    add   d4, d4, d3      ; load-use
+    add   d5, d5, d1
+    xor   d6, d6, d0
+    shli  d7, d0, 3
+    add   d8, d8, d7
+    sub   d9, d9, d1
+    or    d10, d10, d8
+    add   d11, d11, d5
+    xor   d12, d12, d9
+    shri  d13, d11, 2
+    add   d14, d14, d13
+    and   d15, d14, d12
+    add   d5, d5, d15
+    add   d0, d0, d1
+    jne   d0, d2, loop
+    halt
+)";
+
+TEST(ExecTier, LiveFrontEndWindowsCoverLoadThenAluLoop) {
+  const AsmWorkload w = assemble_workload(kLoadThenAluLoop);
+  const Observed fast =
+      run_tier(w, kInstallAsm, ExecTier::kSuperblock, 1'000'000);
+  const Observed accurate =
+      run_tier(w, kInstallAsm, ExecTier::kAccurate, 1'000'000);
+  EXPECT_TRUE(fast.halted);
+  expect_identical(fast, accurate);
+  // The ALU tail after each load runs in a window opened on the queue the
+  // load left behind, so most cycles are fast and hardly any entry is
+  // refused for a busy front end.
+  EXPECT_GE(2 * fast.exec.fast_cycles, fast.cycles);
+  EXPECT_LE(bails(fast, cpu::FastBail::kFrontendBusy), 4u);
+}
+
+// A store rewrites `target` after the core has fetched it. The core runs
+// the stale copy it holds; the rebuilt superblock holds the new word, so a
+// window must not adopt the queue while `target` is in it.
+constexpr std::string_view kStoreOverQueuedCode = R"(
+    .text 0xC8000000
+main:
+    movd  d1, 1
+    movd  d7, 1000
+    movha a15, 0xC800
+    lea   a2, [a15+lo(patch_src)]
+    lea   a3, [a15+lo(target)]
+    ld.w  d4, [a2+0]      ; the replacement word, over the bus
+    st.w  d4, [a3+0]      ; lands while `target` waits in the queue...
+    div   d7, d7, d1      ; ...behind an 8-cycle divide
+    add   d8, d7, d7
+target:
+    movd  d5, 1           ; becomes "movd d5, 2" in memory only
+    movd  d6, 2
+    halt
+patch_src:
+    movd  d5, 2
+)";
+
+TEST(ExecTier, StoreOverQueuedInstructionDeclinesAdoption) {
+  const AsmWorkload w = assemble_workload(kStoreOverQueuedCode);
+  const Observed fast =
+      run_tier(w, kInstallAsm, ExecTier::kSuperblock, 100'000);
+  const Observed accurate =
+      run_tier(w, kInstallAsm, ExecTier::kAccurate, 100'000);
+  EXPECT_TRUE(fast.halted);
+  expect_identical(fast, accurate);
+  EXPECT_EQ(fast.d[5], 1u);  // the stale fetched instruction ran
+  EXPECT_EQ(fast.d[6], 2u);
+  EXPECT_GT(bails(fast, cpu::FastBail::kFrontendBusy), 0u);
+}
+
+// The loop body straddles the 1 KiB boundary between two superblock
+// chunks, so the queue a load leaves behind spans both.
+constexpr std::string_view kLoopAcrossChunks = R"(
+    .text 0xC8000000
+main:
+    movha a4, 0x9000
+    movd  d0, 0
+    movd  d1, 1
+    movd  d2, 40
+    j     loop
+    .text 0xC80003F0      ; the last four words of the first chunk
+loop:
+    ld.w  d3, [a4+0]
+    add   d4, d4, d3
+    add   d5, d5, d1
+    add   d6, d6, d1
+    add   d7, d7, d1      ; first word of the second chunk
+    add   d8, d8, d1
+    add   d9, d9, d1
+    add   d0, d0, d1
+    jne   d0, d2, loop
+    halt
+)";
+
+TEST(ExecTier, QueueAcrossChunkBoundaryDeclinesAdoption) {
+  const AsmWorkload w = assemble_workload(kLoopAcrossChunks);
+  const Observed fast =
+      run_tier(w, kInstallAsm, ExecTier::kSuperblock, 100'000);
+  const Observed accurate =
+      run_tier(w, kInstallAsm, ExecTier::kAccurate, 100'000);
+  EXPECT_TRUE(fast.halted);
+  expect_identical(fast, accurate);
+  EXPECT_EQ(fast.d[0], 40u);
+  // Every iteration declines at least once on the straddling queue, and
+  // still opens windows once the queue lies inside the second chunk.
+  EXPECT_GE(bails(fast, cpu::FastBail::kFrontendBusy), 40u);
+  EXPECT_GT(fast.exec.fast_cycles, 0u);
+}
+
+// The consumer of each load is a SYS op the fast tier cannot execute. It
+// heads a 4-word fetch block, so while the load is outstanding the queue
+// fills to its full depth of 8 behind it. The window adopts that full
+// queue and bails on its first cycle.
+constexpr std::string_view kFullQueueFirstCycleBail = R"(
+    .text 0xC8000000
+main:
+    movha a4, 0x9000
+    movd  d0, 0
+    movd  d1, 1
+    movd  d2, 30
+loop:                     ; 16-byte aligned
+    add   d5, d5, d1
+    add   d6, d6, d5
+    add   d7, d7, d6
+    ld.w  d3, [a4+0]
+    mtcr  scratch0, d3    ; load-use on an unsupported op
+    add   d8, d8, d7
+    add   d9, d9, d8
+    add   d10, d10, d9
+    add   d11, d11, d10
+    add   d0, d0, d1
+    jne   d0, d2, loop
+    halt
+)";
+
+TEST(ExecTier, AdoptedFullQueueFirstCycleBailRestoresExactly) {
+  const AsmWorkload w = assemble_workload(kFullQueueFirstCycleBail);
+  const Observed fast =
+      run_tier(w, kInstallAsm, ExecTier::kSuperblock, 100'000);
+  const Observed accurate =
+      run_tier(w, kInstallAsm, ExecTier::kAccurate, 100'000);
+  EXPECT_TRUE(fast.halted);
+  expect_identical(fast, accurate);
+  EXPECT_GE(bails(fast, cpu::FastBail::kUnsupportedOp), 30u);
+  EXPECT_GT(fast.exec.fast_cycles, 0u);
 }
 
 // ---- snapshot / restore invalidation --------------------------------

@@ -11,6 +11,7 @@
 #include "isa/isa.hpp"
 #include "mem/memory_map.hpp"
 #include "profiling/spec.hpp"
+#include "soc/frame_digest.hpp"
 
 namespace audo {
 namespace {
@@ -172,8 +173,12 @@ class ReferenceIss {
 
 // ---------------------------------------------------------------------
 // Random program generation: straight-line blocks of ALU + scratchpad
-// memory ops with occasional bounded loops, terminated by HALT.
-isa::Program random_program(u64 seed) {
+// memory ops with occasional bounded loops, terminated by HALT. With
+// `flash_loads`, some memory ops become loads through the uncached flash
+// alias (a7): bus loads that end a fast window mid-group and leave a live
+// fetch queue behind them. The default variant draws exactly the random
+// numbers it always drew, so its programs never change.
+isa::Program random_program(u64 seed, bool flash_loads = false) {
   Prng prng(seed);
   std::vector<isa::Instr> body;
 
@@ -209,6 +214,7 @@ isa::Program random_program(u64 seed) {
     body.push_back(in);
   };
   for (u8 r = 2; r <= 6; ++r) emit_movha(r, 0xC000);
+  if (flash_loads) emit_movha(7, 0xA000);
 
   const unsigned blocks = 3 + static_cast<unsigned>(prng.next_below(4));
   for (unsigned b = 0; b < blocks; ++b) {
@@ -217,6 +223,17 @@ isa::Program random_program(u64 seed) {
       const u64 pick = prng.next_below(10);
       if (pick < 6) {
         body.push_back(alu());
+      } else if (flash_loads && prng.chance(0.4)) {
+        // Uncached-flash load of a word of the program image.
+        static constexpr isa::Opcode kLoadOps[] = {
+            isa::Opcode::kLdW, isa::Opcode::kLdH, isa::Opcode::kLdB,
+        };
+        isa::Instr in;
+        in.opcode = kLoadOps[prng.next_below(std::size(kLoadOps))];
+        in.rd = static_cast<u8>(prng.next_below(16));
+        in.ra = 7;
+        in.imm = static_cast<i32>(prng.next_below(512)) & ~3;
+        body.push_back(in);
       } else {
         // Scratchpad load/store with a safe base register and offset.
         isa::Instr in;
@@ -271,15 +288,13 @@ isa::Program random_program(u64 seed) {
 
 class CpuVsReference : public ::testing::TestWithParam<u64> {};
 
-TEST_P(CpuVsReference, ArchitecturalStateMatches) {
-  const isa::Program program = random_program(GetParam());
-
+void expect_matches_reference(const isa::Program& program, u64 seed) {
   // Pipelined model on the full SoC.
   soc::Soc soc(test::small_config());
   ASSERT_TRUE(soc.load(program).is_ok());
   soc.reset(program.entry());
   soc.run(2'000'000);
-  ASSERT_TRUE(soc.tc().halted()) << "seed " << GetParam();
+  ASSERT_TRUE(soc.tc().halted()) << "seed " << seed;
 
   // Reference interpreter.
   ReferenceIss iss;
@@ -290,22 +305,75 @@ TEST_P(CpuVsReference, ArchitecturalStateMatches) {
   }
   iss.pc = program.entry();
   for (u64 steps = 0; !iss.halted && steps < 1'000'000; ++steps) iss.step();
-  ASSERT_TRUE(iss.halted) << "seed " << GetParam();
+  ASSERT_TRUE(iss.halted) << "seed " << seed;
 
   for (unsigned r = 0; r < 16; ++r) {
-    EXPECT_EQ(soc.tc().d(r), iss.d[r]) << "d" << r << " seed " << GetParam();
-    EXPECT_EQ(soc.tc().a(r), iss.a[r]) << "a" << r << " seed " << GetParam();
+    EXPECT_EQ(soc.tc().d(r), iss.d[r]) << "d" << r << " seed " << seed;
+    EXPECT_EQ(soc.tc().a(r), iss.a[r]) << "a" << r << " seed " << seed;
   }
   // Scratchpad contents must match too.
   for (usize i = 0; i < iss.dspr.size(); i += 4) {
     const u32 model = soc.dspr().array().read32(i);
     u32 ref = 0;
     for (int b = 0; b < 4; ++b) ref |= u32{iss.dspr[i + b]} << (8 * b);
-    ASSERT_EQ(model, ref) << "dspr+" << i << " seed " << GetParam();
+    ASSERT_EQ(model, ref) << "dspr+" << i << " seed " << seed;
   }
 }
 
+TEST_P(CpuVsReference, ArchitecturalStateMatches) {
+  expect_matches_reference(random_program(GetParam()), GetParam());
+}
+
+TEST_P(CpuVsReference, ArchitecturalStateMatchesWithFlashLoads) {
+  expect_matches_reference(random_program(GetParam(), /*flash_loads=*/true),
+                           GetParam());
+}
+
 INSTANTIATE_TEST_SUITE_P(RandomPrograms, CpuVsReference,
+                         ::testing::Range<u64>(1, 41));
+
+// ---------------------------------------------------------------------
+// Execution-tier identity on generated programs: the superblock tier
+// publishes the same frame stream as the accurate stepper, cycle for
+// cycle, including around the bus loads of the flash-load variant.
+struct TierRun {
+  u64 cycles = 0;
+  u64 retired = 0;
+  u64 frames = 0;
+  u64 frame_hash = 0;
+};
+
+TierRun run_on_tier(const isa::Program& program,
+                    soc::SocConfig::ExecTier tier) {
+  soc::SocConfig config = test::small_config();
+  config.exec_tier = tier;
+  soc::Soc soc(config);
+  soc::FrameStreamHasher hasher;
+  soc.set_frame_observer(&hasher);
+  EXPECT_TRUE(soc.load(program).is_ok());
+  soc.reset(program.entry());
+  soc.run(2'000'000);
+  EXPECT_TRUE(soc.tc().halted());
+  return TierRun{soc.cycle(), soc.tc().retired(), hasher.frames, hasher.hash};
+}
+
+class TierIdentity : public ::testing::TestWithParam<u64> {};
+
+TEST_P(TierIdentity, GeneratedProgramsMatchAcrossTiers) {
+  using ExecTier = soc::SocConfig::ExecTier;
+  for (const bool flash_loads : {false, true}) {
+    SCOPED_TRACE(flash_loads ? "flash-load variant" : "default variant");
+    const isa::Program program = random_program(GetParam(), flash_loads);
+    const TierRun accurate = run_on_tier(program, ExecTier::kAccurate);
+    const TierRun fast = run_on_tier(program, ExecTier::kSuperblock);
+    EXPECT_EQ(fast.cycles, accurate.cycles);
+    EXPECT_EQ(fast.retired, accurate.retired);
+    EXPECT_EQ(fast.frames, accurate.frames);
+    EXPECT_EQ(fast.frame_hash, accurate.frame_hash);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(RandomPrograms, TierIdentity,
                          ::testing::Range<u64>(1, 41));
 
 // ---------------------------------------------------------------------
