@@ -215,6 +215,10 @@ struct AsmError {
   const char* why;
 };
 
+// Print a case as its reason. The default printer dumps the two pointers'
+// bytes, which differ on every load, so test names would never repeat.
+void PrintTo(const AsmError& e, std::ostream* os) { *os << e.why; }
+
 class AssemblerErrors : public ::testing::TestWithParam<AsmError> {};
 
 TEST_P(AssemblerErrors, Rejected) {
