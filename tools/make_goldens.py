@@ -7,6 +7,10 @@ directory and writes one golden per library entry:
   engine_superblock.json       engine workload, superblock tier
   engine_accurate.json         engine workload, accurate tier
   transmission_superblock.json transmission workload, superblock tier
+  transmission_flow.json       transmission workload with the program-flow
+                               and irq trace and the session DAG on, so
+                               flow/irq/sync messages and the DAG hash
+                               are pinned too
   faultcamp_engine.json        seeded fault campaign classification
 
 Goldens only need regenerating when simulator behaviour intentionally
@@ -27,6 +31,8 @@ GOLDENS = [
      ["--engine", "--cycles", "120000", "--exec-tier", "accurate"]),
     ("transmission_superblock.json", "audo-profile",
      ["--transmission", "--cycles", "120000", "--exec-tier", "superblock"]),
+    ("transmission_flow.json", "audo-profile",
+     ["--transmission", "--cycles", "120000", "--flow", "--irq", "--dag"]),
     ("faultcamp_engine.json", "audo-faultcamp",
      ["--scenarios", "8", "--seed", "11", "--jobs", "2",
       "--cycles", "200000", "--bg", "120"]),
