@@ -14,6 +14,7 @@
 // into the trigger logic.
 #pragma once
 
+#include <array>
 #include <optional>
 #include <string>
 #include <vector>
@@ -73,26 +74,26 @@ class CounterBank {
   /// (kSampleGroup trigger action). No-op on an empty accumulation.
   void force_sample(unsigned group, Cycle now);
 
-  /// Accumulate one cycle; emits zero or more samples into samples().
-  /// `comparator_hits` feeds counter qualifiers (may be null when no
-  /// counter uses one).
-  void step(const ObservationFrame& frame,
+  /// Accumulate one cycle (`events`, observed at cycle `now`); emits zero
+  /// or more samples into samples(). `comparator_hits` feeds counter
+  /// qualifiers (may be null when no counter uses one).
+  void step(const EventValues& events, Cycle now,
             const std::vector<bool>* comparator_hits = nullptr);
 
   /// Samples emitted during the last step()/force_sample(); cleared at
   /// the beginning of each step.
   const std::vector<RateSample>& samples() const { return samples_; }
 
-  /// How many consecutive repetitions of `idle_frame` could be absorbed
-  /// without any armed group reaching its resolution (i.e. without a
-  /// sample or threshold-flag update). 0 means the next cycle must be
-  /// stepped; ~0 means counters impose no bound.
-  u64 idle_skip_limit(const ObservationFrame& idle_frame) const;
+  /// How many consecutive repetitions of the idle cycle `idle` could be
+  /// absorbed without any armed group reaching its resolution (i.e.
+  /// without a sample or threshold-flag update). 0 means the next cycle
+  /// must be stepped; ~0 means counters impose no bound.
+  u64 idle_skip_limit(const EventValues& idle) const;
 
-  /// Bulk-accumulate `n` repetitions of `idle_frame` — exactly what `n`
-  /// step() calls would have accumulated, provided `n` is within
+  /// Bulk-accumulate `n` repetitions of `idle` — exactly what `n` step()
+  /// calls would have accumulated, provided `n` is within
   /// idle_skip_limit() so no sample boundary is crossed.
-  void skip_idle(const ObservationFrame& idle_frame,
+  void skip_idle(const EventValues& idle,
                  const std::vector<bool>* comparator_hits, u64 n);
 
   /// Current threshold flags (index via flag_index).
@@ -108,50 +109,45 @@ class CounterBank {
   /// Snapshot support: arming, mid-window accumulators and threshold
   /// flags — a group captured mid-resolution resumes at the exact basis
   /// position. Per-step samples are transient and cleared.
-  void save_state(snapshot::Writer& w) const {
-    w.put_u32(static_cast<u32>(groups_.size()));
-    for (const Group& g : groups_) {
-      w.put_bool(g.armed);
-      w.put_u32(g.basis_acc);
-      w.put_u32(static_cast<u32>(g.accs.size()));
-      for (u32 acc : g.accs) w.put_u32(acc);
-    }
-    w.put_u32(static_cast<u32>(flags_.size()));
-    for (bool f : flags_) w.put_bool(f);
-  }
-  void restore_state(snapshot::Reader& r) {
-    if (r.get_u32() != groups_.size() && r.ok()) {
-      r.fail("counter group count mismatch");
-      return;
-    }
-    for (Group& g : groups_) {
-      g.armed = r.get_bool();
-      g.basis_acc = r.get_u32();
-      if (r.get_u32() != g.accs.size() && r.ok()) {
-        r.fail("counter accumulator count mismatch");
-        return;
-      }
-      for (u32& acc : g.accs) acc = r.get_u32();
-    }
-    if (r.get_u32() != flags_.size() && r.ok()) {
-      r.fail("counter flag count mismatch");
-      return;
-    }
-    for (usize i = 0; i < flags_.size(); ++i) flags_[i] = r.get_bool();
-    samples_.clear();
-  }
+  void save_state(snapshot::Writer& w) const;
+  void restore_state(snapshot::Reader& r);
 
  private:
+  // A group's open measurement window. The counters are running event
+  // totals: while a group is armed, its basis and each unqualified
+  // counter count what totals_ gained since a mark taken at the window
+  // start, so a cycle costs one basis compare per armed group. Every
+  // other count is held outright: a comparator-qualified counter adds
+  // its event in the cycles its comparator matches, and a disarmed
+  // group's window is frozen in `held` when it is disarmed.
   struct Group {
     CounterGroupConfig config;
     bool armed = true;
-    u32 basis_acc = 0;
-    std::vector<u32> accs;
+    u32 basis_mark = 0;
+    u32 basis_held = 0;
+    std::vector<u32> marks;
+    std::vector<u32> held;
+    std::vector<unsigned> qualified;   // indices of qualified counters
     std::vector<unsigned> flag_slots;  // per counter; ~0u = no threshold
   };
 
+  bool counts_from_totals(const Group& g, usize counter) const {
+    return g.armed && !g.config.counters[counter].qualifier.has_value();
+  }
+  u32 basis_count(const Group& g) const {
+    return g.armed ? totals_[static_cast<unsigned>(g.config.basis)] -
+                         g.basis_mark
+                   : g.basis_held;
+  }
+  std::vector<u32> counts(const Group& g) const;
+  /// Make the group's window hold `basis` ticks and `counts` (all zero
+  /// when null), in the form its armed state reads.
+  void set_window(Group& g, u32 basis, const std::vector<u32>* counts);
   void emit_sample(Group& group, unsigned index, Cycle now);
 
+  // Per-event sums since reset(), in u32 like the hardware counters: a
+  // window reads total minus mark, exact modulo 2^32.
+  std::array<u32, kNumEvents> totals_{};
   std::vector<Group> groups_;
   std::vector<bool> flags_;
   std::vector<RateSample> samples_;

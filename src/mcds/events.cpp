@@ -32,88 +32,85 @@ const char* to_string(StallRootCause cause) {
   return "?";
 }
 
-u32 event_value(const ObservationFrame& f, EventId id) {
+EventValues::EventValues(const ObservationFrame& f) {
+  // The slots are assigned one by one rather than zeroed first: the
+  // table is rebuilt every observed cycle. A new EventId needs its line
+  // below; this count is the reminder.
+  static_assert(kNumEvents == 52, "assign the new event in EventValues");
   const CoreObservation& tc = f.tc;
   const CoreObservation& pcp = f.pcp;
+  const auto set = [this](EventId id, u32 value) {
+    values_[static_cast<unsigned>(id)] = value;
+  };
   const auto tc_root = [&](StallRootCause root) -> u32 {
     return (tc.present && tc.attr.root == root) ? 1 : 0;
   };
-  switch (id) {
-    case EventId::kNone: return 0;
-    case EventId::kCycles: return 1;
-    case EventId::kTcRetired: return tc.retired;
-    case EventId::kTcStalled:
-      return (tc.present && tc.retired == 0 &&
-              tc.stall != StallCause::kHalted) ? 1 : 0;
-    case EventId::kTcStallIFetch: return tc.stall == StallCause::kIFetch ? 1 : 0;
-    case EventId::kTcStallLoadUse: return tc.stall == StallCause::kLoadUse ? 1 : 0;
-    case EventId::kTcICacheAccess: return tc.icache_access ? 1 : 0;
-    case EventId::kTcICacheHit: return tc.icache_hit ? 1 : 0;
-    case EventId::kTcICacheMiss: return tc.icache_miss ? 1 : 0;
-    case EventId::kTcDCacheAccess: return tc.dcache_access ? 1 : 0;
-    case EventId::kTcDCacheHit: return tc.dcache_hit ? 1 : 0;
-    case EventId::kTcDCacheMiss: return tc.dcache_miss ? 1 : 0;
-    case EventId::kTcDataAccess: return tc.data_access ? 1 : 0;
-    case EventId::kTcDataWrite: return (tc.data_access && tc.data_write) ? 1 : 0;
-    case EventId::kTcDsprAccess: return tc.dspr_access ? 1 : 0;
-    case EventId::kTcFlashDataAccess: return tc.flash_data_access ? 1 : 0;
-    case EventId::kTcSramDataAccess: return tc.sram_data_access ? 1 : 0;
-    case EventId::kTcPeriphDataAccess: return tc.periph_data_access ? 1 : 0;
-    case EventId::kTcIrqEntry: return tc.irq_entry ? 1 : 0;
-    case EventId::kTcIrqExit: return tc.irq_exit ? 1 : 0;
-    case EventId::kTcDiscontinuity: return tc.discontinuity ? 1 : 0;
-    case EventId::kTcStallRootFrontend:
-      return tc_root(StallRootCause::kFrontend);
-    case EventId::kTcStallRootExec: return tc_root(StallRootCause::kExec);
-    case EventId::kTcStallRootFlashBuffer:
-      return tc_root(StallRootCause::kFlashBuffer);
-    case EventId::kTcStallRootFlashRead:
-      return tc_root(StallRootCause::kFlashRead);
-    case EventId::kTcStallRootFlashConflict:
-      return tc_root(StallRootCause::kFlashPortConflict);
-    case EventId::kTcStallRootBusArb:
-      return tc_root(StallRootCause::kBusArbitration);
-    case EventId::kTcStallRootBusBusy:
-      return tc_root(StallRootCause::kBusSlaveBusy);
-    case EventId::kTcStallRootWfi: return tc_root(StallRootCause::kWfi);
-    case EventId::kPcpRetired: return pcp.retired;
-    case EventId::kPcpStalled:
-      return (pcp.present && pcp.retired == 0 &&
-              pcp.stall != StallCause::kHalted &&
-              pcp.stall != StallCause::kWfi) ? 1 : 0;
-    case EventId::kPcpIrqEntry: return pcp.irq_entry ? 1 : 0;
-    case EventId::kPcpDataAccess: return pcp.data_access ? 1 : 0;
-    case EventId::kFlashCodeAccess: return f.flash.code_access ? 1 : 0;
-    case EventId::kFlashCodeBufferHit: return f.flash.code_buffer_hit ? 1 : 0;
-    case EventId::kFlashDataPortAccess: return f.flash.data_access ? 1 : 0;
-    case EventId::kFlashDataBufferHit: return f.flash.data_buffer_hit ? 1 : 0;
-    case EventId::kFlashPortConflict: return f.flash.array_conflict ? 1 : 0;
-    case EventId::kBusGrant: return f.sri.any_grant ? 1 : 0;
-    case EventId::kBusContention: return f.sri.contention ? 1 : 0;
-    case EventId::kBusWaitingMasters: return f.sri.waiting_masters;
-    case EventId::kDmaTransfer: return f.dma.transfer ? 1 : 0;
-    case EventId::kSafetyEccCorrected: return f.safety.ecc_corrected;
-    case EventId::kSafetyEccUncorrectable: return f.safety.ecc_uncorrectable;
-    case EventId::kSafetyBusError: return f.safety.bus_error ? 1 : 0;
-    case EventId::kSafetyWdtTimeout: return f.safety.wdt_timeout ? 1 : 0;
-    case EventId::kSafetyTrap: return f.safety.cpu_trap ? 1 : 0;
-    case EventId::kSafetyAlarmIrq: return f.safety.alarm_irq ? 1 : 0;
-    case EventId::kDagIrqRaise: return f.irq.count;
-    case EventId::kDagIsrEnter:
-      return ((tc.irq_entry || tc.trap_entry) ? 1u : 0u) +
-             ((pcp.irq_entry || pcp.trap_entry) ? 1u : 0u);
-    case EventId::kDagIsrExit:
-      return (tc.irq_exit ? 1u : 0u) + (pcp.irq_exit ? 1u : 0u);
-    case EventId::kDagIdle: {
-      const auto parked = [](const CoreObservation& c) -> u32 {
-        return (c.present && (c.stall == StallCause::kWfi ||
-                              c.stall == StallCause::kHalted)) ? 1 : 0;
-      };
-      return parked(tc) + parked(pcp);
-    }
-    case EventId::kEventCount: break;
-  }
-  return 0;
+  const auto parked = [](const CoreObservation& c) -> u32 {
+    return (c.present && (c.stall == StallCause::kWfi ||
+                          c.stall == StallCause::kHalted)) ? 1 : 0;
+  };
+  set(EventId::kNone, 0);
+  set(EventId::kCycles, 1);
+  set(EventId::kTcRetired, tc.retired);
+  set(EventId::kTcStalled, (tc.present && tc.retired == 0 &&
+                            tc.stall != StallCause::kHalted) ? 1 : 0);
+  set(EventId::kTcStallIFetch, tc.stall == StallCause::kIFetch ? 1 : 0);
+  set(EventId::kTcStallLoadUse, tc.stall == StallCause::kLoadUse ? 1 : 0);
+  set(EventId::kTcICacheAccess, tc.icache_access);
+  set(EventId::kTcICacheHit, tc.icache_hit);
+  set(EventId::kTcICacheMiss, tc.icache_miss);
+  set(EventId::kTcDCacheAccess, tc.dcache_access);
+  set(EventId::kTcDCacheHit, tc.dcache_hit);
+  set(EventId::kTcDCacheMiss, tc.dcache_miss);
+  set(EventId::kTcDataAccess, tc.data_access);
+  set(EventId::kTcDataWrite, tc.data_access && tc.data_write);
+  set(EventId::kTcDsprAccess, tc.dspr_access);
+  set(EventId::kTcFlashDataAccess, tc.flash_data_access);
+  set(EventId::kTcSramDataAccess, tc.sram_data_access);
+  set(EventId::kTcPeriphDataAccess, tc.periph_data_access);
+  set(EventId::kTcIrqEntry, tc.irq_entry);
+  set(EventId::kTcIrqExit, tc.irq_exit);
+  set(EventId::kTcDiscontinuity, tc.discontinuity);
+  set(EventId::kTcStallRootFrontend, tc_root(StallRootCause::kFrontend));
+  set(EventId::kTcStallRootExec, tc_root(StallRootCause::kExec));
+  set(EventId::kTcStallRootFlashBuffer, tc_root(StallRootCause::kFlashBuffer));
+  set(EventId::kTcStallRootFlashRead, tc_root(StallRootCause::kFlashRead));
+  set(EventId::kTcStallRootFlashConflict,
+      tc_root(StallRootCause::kFlashPortConflict));
+  set(EventId::kTcStallRootBusArb, tc_root(StallRootCause::kBusArbitration));
+  set(EventId::kTcStallRootBusBusy, tc_root(StallRootCause::kBusSlaveBusy));
+  set(EventId::kTcStallRootWfi, tc_root(StallRootCause::kWfi));
+  set(EventId::kPcpRetired, pcp.retired);
+  set(EventId::kPcpStalled, (pcp.present && pcp.retired == 0 &&
+                             pcp.stall != StallCause::kHalted &&
+                             pcp.stall != StallCause::kWfi) ? 1 : 0);
+  set(EventId::kPcpIrqEntry, pcp.irq_entry);
+  set(EventId::kPcpDataAccess, pcp.data_access);
+  set(EventId::kFlashCodeAccess, f.flash.code_access);
+  set(EventId::kFlashCodeBufferHit, f.flash.code_buffer_hit);
+  set(EventId::kFlashDataPortAccess, f.flash.data_access);
+  set(EventId::kFlashDataBufferHit, f.flash.data_buffer_hit);
+  set(EventId::kFlashPortConflict, f.flash.array_conflict);
+  set(EventId::kBusGrant, f.sri.any_grant);
+  set(EventId::kBusContention, f.sri.contention);
+  set(EventId::kBusWaitingMasters, f.sri.waiting_masters);
+  set(EventId::kDmaTransfer, f.dma.transfer);
+  set(EventId::kSafetyEccCorrected, f.safety.ecc_corrected);
+  set(EventId::kSafetyEccUncorrectable, f.safety.ecc_uncorrectable);
+  set(EventId::kSafetyBusError, f.safety.bus_error);
+  set(EventId::kSafetyWdtTimeout, f.safety.wdt_timeout);
+  set(EventId::kSafetyTrap, f.safety.cpu_trap);
+  set(EventId::kSafetyAlarmIrq, f.safety.alarm_irq);
+  set(EventId::kDagIrqRaise, f.irq.count);
+  set(EventId::kDagIsrEnter, ((tc.irq_entry || tc.trap_entry) ? 1u : 0u) +
+                                 ((pcp.irq_entry || pcp.trap_entry) ? 1u : 0u));
+  set(EventId::kDagIsrExit, (tc.irq_exit ? 1u : 0u) + (pcp.irq_exit ? 1u : 0u));
+  set(EventId::kDagIdle, parked(tc) + parked(pcp));
+}
+
+u32 event_value(const ObservationFrame& f, EventId id) {
+  if (static_cast<unsigned>(id) >= kNumEvents) return 0;
+  return EventValues(f)[id];
 }
 
 std::string_view event_name(EventId id) {

@@ -7,6 +7,8 @@
 // retired instructions. Counters accumulate these values.
 #pragma once
 
+#include <array>
+#include <cassert>
 #include <string_view>
 
 #include "mcds/observation.hpp"
@@ -83,8 +85,26 @@ enum class EventId : u8 {
 
 inline constexpr unsigned kNumEvents = static_cast<unsigned>(EventId::kEventCount);
 
+/// Every event's value in one frame: the event mux, evaluated once per
+/// cycle. This is the mux's only definition; the counter bank, trigger
+/// terms and event_value() all read it.
+class EventValues {
+ public:
+  explicit EventValues(const ObservationFrame& frame);
+
+  u32 operator[](EventId id) const {
+    assert(static_cast<unsigned>(id) < kNumEvents);
+    return values_[static_cast<unsigned>(id)];
+  }
+  const std::array<u32, kNumEvents>& all() const { return values_; }
+
+ private:
+  // Every slot is assigned by the constructor.
+  std::array<u32, kNumEvents> values_;
+};
+
 /// The value of event `id` in frame `frame` (0 when the event did not
-/// occur this cycle).
+/// occur this cycle): a one-event view of EventValues.
 u32 event_value(const ObservationFrame& frame, EventId id);
 
 std::string_view event_name(EventId id);

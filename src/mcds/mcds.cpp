@@ -106,9 +106,10 @@ void Mcds::flush(Cycle now) {
 }
 
 u64 Mcds::idle_skip_limit(const ObservationFrame& idle_frame) {
+  const EventValues idle(idle_frame);
   evaluate_comparators(config_.comparators, idle_frame, comparator_hits_);
   TriggerContext ctx;
-  ctx.frame = &idle_frame;
+  ctx.events = &idle;
   ctx.comparator_hits = &comparator_hits_;
   ctx.counter_flags = &counters_.flags();
   ctx.state = fsm_.state();
@@ -142,7 +143,7 @@ u64 Mcds::idle_skip_limit(const ObservationFrame& idle_frame) {
     if (next_sync_ <= now + 1) return 0;
     limit = std::min(limit, next_sync_ - now - 1);
   }
-  return std::min(limit, counters_.idle_skip_limit(idle_frame));
+  return std::min(limit, counters_.idle_skip_limit(idle));
 }
 
 void Mcds::skip_idle(const ObservationFrame& idle_frame, u64 n) {
@@ -150,20 +151,21 @@ void Mcds::skip_idle(const ObservationFrame& idle_frame, u64 n) {
   // network, anchors, hints and message stream untouched: only the
   // counter bank accumulates.
   evaluate_comparators(config_.comparators, idle_frame, comparator_hits_);
-  counters_.skip_idle(idle_frame, &comparator_hits_, n);
+  counters_.skip_idle(EventValues(idle_frame), &comparator_hits_, n);
 }
 
 void Mcds::observe(const ObservationFrame& frame) {
   const Cycle now = frame.cycle;
 
-  // 1. Comparators and counters.
+  // 1. The cycle's event values, comparators and counters.
+  const EventValues events(frame);
   evaluate_comparators(config_.comparators, frame, comparator_hits_);
-  counters_.step(frame, &comparator_hits_);
+  counters_.step(events, now, &comparator_hits_);
 
   // 2. Trigger network: FSM transition, then action equations on the
   //    post-transition state.
   TriggerContext ctx;
-  ctx.frame = &frame;
+  ctx.events = &events;
   ctx.comparator_hits = &comparator_hits_;
   ctx.counter_flags = &counters_.flags();
   ctx.state = fsm_.state();

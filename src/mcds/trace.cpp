@@ -7,6 +7,9 @@ namespace {
 
 constexpr unsigned kKindBits = 3;
 constexpr unsigned kSourceBits = 2;
+// Room for all but the longest units (syncs with large absolute values,
+// rates with many counts), so encode() builds most units in one buffer.
+constexpr usize kUnitReserveBytes = 24;
 
 constexpr u32 zigzag(i32 v) {
   return (static_cast<u32>(v) << 1) ^ static_cast<u32>(v >> 31);
@@ -34,6 +37,7 @@ void TraceEncoder::reset_anchors() {
 
 EncodedMessage TraceEncoder::encode(const TraceMessage& msg) {
   BitWriter w;
+  w.reserve(kUnitReserveBytes);
   w.write(static_cast<u64>(msg.kind), kKindBits);
   w.write(static_cast<u64>(msg.source), kSourceBits);
 
@@ -117,7 +121,7 @@ EncodedMessage TraceEncoder::encode(const TraceMessage& msg) {
   ++messages_;
   bits_ += w.bit_count();
   bytes_ += w.byte_count();
-  return EncodedMessage{w.bytes()};
+  return EncodedMessage{w.take()};
 }
 
 Result<std::vector<TraceMessage>> TraceDecoder::decode(
@@ -220,10 +224,12 @@ Result<std::vector<TraceMessage>> TraceDecoder::decode(
         break;
     }
     // A unit shorter than its own encoding (corrupted EMEM dump, partial
-    // DAP download) zero-fills the missing fields and latches the
-    // reader's overrun flag — surface it rather than emit garbage.
-    if (r.overrun()) {
-      return error(StatusCode::kDecodeError, "truncated trace unit");
+    // DAP download) zero-fills the missing fields, and a varint too long
+    // for 64 bits reads as 0; both latch the reader's error flag —
+    // surface it rather than emit garbage.
+    if (r.failed()) {
+      return error(StatusCode::kDecodeError,
+                   "truncated or malformed trace unit");
     }
     out.push_back(std::move(msg));
   }

@@ -44,7 +44,9 @@ bool term_value(const Term& term, const TriggerContext& ctx) {
               (*ctx.comparator_hits)[term.index];
       break;
     case Term::Kind::kEvent:
-      value = ctx.frame != nullptr && event_value(*ctx.frame, term.event) > 0;
+      value = ctx.events != nullptr &&
+              static_cast<unsigned>(term.event) < kNumEvents &&
+              (*ctx.events)[term.event] > 0;
       break;
     case Term::Kind::kCounterFlag:
       value = ctx.counter_flags != nullptr &&

@@ -117,7 +117,7 @@ struct StateMachineConfig {
 
 /// Inputs to equation evaluation for one cycle.
 struct TriggerContext {
-  const ObservationFrame* frame = nullptr;
+  const EventValues* events = nullptr;
   const std::vector<bool>* comparator_hits = nullptr;
   const std::vector<bool>* counter_flags = nullptr;
   u8 state = 0;

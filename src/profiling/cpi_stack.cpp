@@ -36,13 +36,19 @@ void CpiStackBuilder::charge(const mcds::CoreObservation& obs, u64 n) {
   // Track the executing function: a retire pins it exactly; a
   // no-retire discontinuity (irq/trap vectoring) redirects it to the
   // target so the entry bubble is charged to the handler.
+  const std::string* function = current_;
   if (obs.retired > 0) {
-    current_ = &symbols_.function_at(obs.retire_pc);
+    function = &symbols_.function_at(obs.retire_pc);
   } else if (obs.discontinuity) {
-    current_ = &symbols_.function_at(obs.discontinuity_target);
+    function = &symbols_.function_at(obs.discontinuity_target);
   }
-  CpiStackEntry& e = functions_[*current_];
-  if (e.name.empty()) e.name = *current_;
+  // The map is looked up only when the function changes.
+  if (entry_ == nullptr || function != current_) {
+    current_ = function;
+    entry_ = &functions_[*function];
+    if (entry_->name.empty()) entry_->name = *function;
+  }
+  CpiStackEntry& e = *entry_;
   e.cycles += n;
   e.instructions += static_cast<u64>(obs.retired) * n;
   if (obs.attr.root == mcds::StallRootCause::kNone) {

@@ -47,6 +47,9 @@ struct CpiStackEntry {
 class CpiStackBuilder : public soc::FrameObserver {
  public:
   explicit CpiStackBuilder(isa::SymbolMap symbols);
+  // current_ and entry_ point into this object's own members.
+  CpiStackBuilder(const CpiStackBuilder&) = delete;
+  CpiStackBuilder& operator=(const CpiStackBuilder&) = delete;
 
   void observe(const mcds::ObservationFrame& frame) override;
   void skip_idle(const mcds::ObservationFrame& idle, u64 n) override;
@@ -73,6 +76,7 @@ class CpiStackBuilder : public soc::FrameObserver {
   isa::SymbolMap symbols_;
   std::map<std::string, CpiStackEntry> functions_;
   const std::string* current_ = nullptr;  // function charged for stalls
+  CpiStackEntry* entry_ = nullptr;        // functions_[*current_]
   u64 observed_cycles_ = 0;
 };
 

@@ -3,6 +3,9 @@
 // property-style stream round trip.
 #include <gtest/gtest.h>
 
+#include <string_view>
+
+#include "common/bits.hpp"
 #include "common/prng.hpp"
 #include "mcds/trace.hpp"
 
@@ -317,6 +320,19 @@ TEST(TraceCodec, RandomStreamRoundTripProperty) {
   // Compression sanity: the stream must be far smaller than naive
   // 16-byte-per-message encodings.
   EXPECT_LT(enc.bytes_encoded(), inputs.size() * 12);
+  // The wire format itself, pinned: a layout change made the same way in
+  // encoder and decoder would still round-trip, but it moves these
+  // figures (and with them the trace-bandwidth numbers built on them).
+  u64 hash = kFnvOffset;
+  for (const EncodedMessage& unit : units) {
+    hash = fnv1a(hash, unit.size());
+    hash = fnv1a(hash, std::string_view(
+                           reinterpret_cast<const char*>(unit.bytes.data()),
+                           unit.bytes.size()));
+  }
+  EXPECT_EQ(hash, 9677671187131270052ull);
+  EXPECT_EQ(enc.bits_encoded(), 176673u);
+  EXPECT_EQ(enc.bytes_encoded(), 23085u);
 }
 
 TEST(TraceCodec, DecodeRejectsGarbage) {
@@ -332,8 +348,8 @@ TEST(TraceCodec, DecodeRejectsGarbage) {
 
 TEST(TraceCodec, TruncatedUnitIsDecodeErrorNotGarbage) {
   // Chop a valid sync unit at every possible byte boundary: each prefix
-  // must come back as kDecodeError (the BitReader latches overrun and
-  // the decoder refuses to emit the zero-filled message), never decode
+  // must come back as kDecodeError (the BitReader latches its error flag
+  // and the decoder refuses to emit the zero-filled message), never decode
   // into a bogus message and never touch out-of-range memory.
   TraceEncoder enc;
   const EncodedMessage full =
@@ -386,6 +402,32 @@ TEST(TraceCodec, BadSourceFieldIsDecodeError) {
   auto decoded = TraceDecoder::decode({unit});
   ASSERT_FALSE(decoded.is_ok());
   EXPECT_EQ(decoded.status().code(), StatusCode::kDecodeError);
+}
+
+TEST(TraceCodec, OverlongVarintIsDecodeError) {
+  // A sync unit whose cycle varint runs on for 29 continuation nibbles:
+  // 90 payload bits cannot be a 64-bit value. EMEM dumps are external
+  // bytes, so this is a decode error, not a shift past the value's width.
+  BitWriter w;
+  w.write(static_cast<u64>(MsgKind::kSync), 3);
+  w.write(static_cast<u64>(MsgSource::kTcCore), 2);
+  for (int i = 0; i < 29; ++i) w.write(0xF, 4);  // payload 7, continue
+  w.write(0x7, 4);                               // terminator
+  for (int i = 0; i < 3; ++i) w.write(0, 4);     // pc, addr, instr_count
+  EncodedMessage unit;
+  unit.bytes = w.bytes();
+  auto decoded = TraceDecoder::decode({unit});
+  ASSERT_FALSE(decoded.is_ok());
+  EXPECT_EQ(decoded.status().code(), StatusCode::kDecodeError);
+
+  // The longest legal varint, 22 nibbles for a full 64-bit value, still
+  // decodes.
+  TraceEncoder enc;
+  const EncodedMessage max_cycle = enc.encode(
+      sync_msg(MsgSource::kTcCore, ~Cycle{0}, 0x80000000, 0xC0000000));
+  auto ok = TraceDecoder::decode({max_cycle});
+  ASSERT_TRUE(ok.is_ok());
+  EXPECT_EQ(ok.value()[0].cycle, ~Cycle{0});
 }
 
 TEST(TraceCodec, DecodeAfterLostAnchorResyncs) {
