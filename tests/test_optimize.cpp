@@ -176,6 +176,47 @@ TEST(Evaluator, InteractionSynergyIsSane) {
   EXPECT_NE(table.find("synergy"), std::string::npos);
 }
 
+TEST(Evaluator, StandardSweepMatchesRecordedResult) {
+  // The §6 sweep as perfbench's e6_sweep runs it: the standard catalogue
+  // over the whole kernel suite on the default chip, two pool workers.
+  // The figures were recorded once and pin the sweep's result across
+  // commits; a host-only change must leave all three untouched.
+  ArchitectureEvaluator eval{soc::SocConfig{}};
+  eval.set_jobs(2);
+  for (const workload::KernelSpec& spec : workload::standard_suite()) {
+    auto program = spec.build();
+    ASSERT_TRUE(program.is_ok()) << spec.name;
+    WorkloadCase wc;
+    wc.name = spec.name;
+    wc.program = std::move(program).value();
+    wc.tc_entry = wc.program.entry();
+    eval.add_case(std::move(wc));
+  }
+  const auto results = eval.evaluate(standard_catalogue());
+
+  // perfbench's sweep checksum: option names in rank order, then each
+  // case's cycles, instructions and halted flag.
+  u64 checksum = kFnvOffset;
+  u64 option_cycles = 0;
+  std::string ranking;
+  for (const OptionResult& r : results) {
+    checksum = fnv1a(checksum, r.option);
+    ranking += (ranking.empty() ? "" : " ") + r.option;
+    for (const CaseRun& run : r.runs) {
+      checksum = fnv1a(checksum, run.cycles);
+      checksum = fnv1a(checksum, run.instructions);
+      checksum = fnv1a(checksum, run.halted ? 1 : 0);
+      option_cycles += run.cycles;
+    }
+  }
+  EXPECT_EQ(checksum, 18'050'110'972'171'445'790ull);
+  EXPECT_EQ(ranking,
+            "cache_line_64 lmu_fast flash_ws_3 flash_ws_4 dcache_16k "
+            "dcache_8k icache_32k icache_4way prefetch_4 read_buffers_2 "
+            "read_buffers_4 bus_round_robin");
+  EXPECT_EQ(option_cycles, 2'787'941u);
+}
+
 TEST(Presets, FamilyMembersAreOrderedByCapability) {
   const auto p97 = soc::tc1797_like();
   const auto p67 = soc::tc1767_like();
