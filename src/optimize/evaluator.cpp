@@ -9,50 +9,6 @@
 
 namespace audo::optimize {
 
-namespace {
-/// Boot-probe bound: how far into a run the evaluator looks for the
-/// first quiescent point worth snapshotting. Workloads that stay busy
-/// longer than this just boot cold.
-constexpr Cycle kBootProbeLimit = 65'536;
-}  // namespace
-
-std::shared_ptr<const soc::Snapshot> ArchitectureEvaluator::boot_image_for(
-    const soc::SocConfig& config, usize case_index) const {
-  const WorkloadCase& wc = cases_[case_index];
-  const std::pair<u64, usize> key{config.shape_fingerprint(), case_index};
-  {
-    std::lock_guard<std::mutex> lock(*boot_mutex_);
-    if (auto it = boot_cache_.find(key); it != boot_cache_.end()) {
-      ++boot_stats_.hits;
-      return it->second;
-    }
-    ++boot_stats_.misses;
-  }
-  // Probe outside the lock: bounded, and a concurrent duplicate probe
-  // would produce the identical image anyway.
-  std::shared_ptr<const soc::Snapshot> image;
-  soc::Soc probe(config);
-  if (probe.load(wc.program).is_ok()) {
-    if (wc.configure) wc.configure(probe);
-    probe.reset(wc.tc_entry, wc.pcp_entry);
-    const u64 budget =
-        wc.max_cycles == 0 ? soc::Soc::kDefaultRunBudget : wc.max_cycles;
-    const Cycle limit = std::min<Cycle>(kBootProbeLimit, budget / 2);
-    while (probe.cycle() < limit && !probe.tc().halted() &&
-           !probe.quiescent()) {
-      probe.step();
-    }
-    if (probe.cycle() > 0 && !probe.tc().halted() && probe.quiescent()) {
-      if (Result<soc::Snapshot> snap = probe.save_snapshot(); snap.is_ok()) {
-        image = std::make_shared<const soc::Snapshot>(
-            std::move(snap).value());
-      }
-    }
-  }
-  std::lock_guard<std::mutex> lock(*boot_mutex_);
-  return boot_cache_.emplace(key, std::move(image)).first->second;
-}
-
 std::vector<CaseRun> ArchitectureEvaluator::run_config(
     const soc::SocConfig& config) const {
   return run_configs({config}).front();
@@ -66,13 +22,8 @@ std::vector<std::vector<CaseRun>> ArchitectureEvaluator::run_configs(
   // is bit-identical to the serial loop for any jobs value.
   std::vector<host::SimJob> batch;
   batch.reserve(configs.size() * cases_.size());
-  // Boot images are probed up front (serially, cached across calls) so
-  // the pool workers only run the post-boot portion of each job.
-  std::vector<std::shared_ptr<const soc::Snapshot>> boots;
-  boots.reserve(configs.size() * cases_.size());
   for (const soc::SocConfig& config : configs) {
-    for (usize k = 0; k < cases_.size(); ++k) {
-      const WorkloadCase& wc = cases_[k];
+    for (const WorkloadCase& wc : cases_) {
       host::SimJob job;
       job.config = config;
       job.program = &wc.program;
@@ -80,10 +31,6 @@ std::vector<std::vector<CaseRun>> ArchitectureEvaluator::run_configs(
       job.pcp_entry = wc.pcp_entry;
       job.configure = wc.configure;
       job.max_cycles = wc.max_cycles;
-      if (warm_fork_) {
-        boots.push_back(boot_image_for(config, k));
-        job.boot = boots.back().get();
-      }
       batch.push_back(std::move(job));
     }
   }

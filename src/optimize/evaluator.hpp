@@ -7,9 +7,6 @@
 #pragma once
 
 #include <functional>
-#include <memory>
-#include <map>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -71,24 +68,15 @@ class ArchitectureEvaluator {
   void set_jobs(unsigned jobs) { jobs_ = jobs; }
   unsigned jobs() const { return jobs_; }
 
-  /// Warm fork: boot each (configuration shape, case) pair once, snapshot
-  /// the machine at its first quiescent point, and fork every later run
-  /// of the same pair from that image instead of re-booting. Bit-identical
-  /// to cold boots (the snapshot round-trip is), so sweeps keep the
-  /// determinism contract; the win compounds when the same configuration
-  /// is evaluated repeatedly (interaction pairs, repeated evaluate()
-  /// calls, greedy generation steps).
-  void set_warm_fork(bool on) { warm_fork_ = on; }
-  bool warm_fork() const { return warm_fork_; }
+  /// No-op, kept for perfbench/workloads.cpp, which still calls it.
+  void set_warm_fork(bool) {}
 
   struct BootCacheStats {
     u64 hits = 0;
     u64 misses = 0;
   };
-  BootCacheStats boot_cache_stats() const {
-    std::lock_guard<std::mutex> lock(*boot_mutex_);
-    return boot_stats_;
-  }
+  /// Always {0, 0}, kept for perfbench/workloads.cpp, which reports it.
+  BootCacheStats boot_cache_stats() const { return {}; }
 
   /// Run one configuration over all cases.
   std::vector<CaseRun> run_config(const soc::SocConfig& config) const;
@@ -140,24 +128,10 @@ class ArchitectureEvaluator {
   double speedup_of(const std::vector<CaseRun>& base,
                     const std::vector<CaseRun>& variant) const;
 
-  /// Cached boot image for (config shape, case), probing on first use.
-  /// Null when the workload never goes quiescent before the probe limit
-  /// (the run is then simply cold-booted every time).
-  std::shared_ptr<const soc::Snapshot> boot_image_for(
-      const soc::SocConfig& config, usize case_index) const;
-
   soc::SocConfig baseline_;
   CostModel cost_;
   std::vector<WorkloadCase> cases_;
   unsigned jobs_ = 1;
-  bool warm_fork_ = true;
-  // unique_ptr keeps the evaluator movable (callers return it by value).
-  mutable std::unique_ptr<std::mutex> boot_mutex_ =
-      std::make_unique<std::mutex>();
-  mutable std::map<std::pair<u64, usize>,
-                   std::shared_ptr<const soc::Snapshot>>
-      boot_cache_;
-  mutable BootCacheStats boot_stats_;
 };
 
 }  // namespace audo::optimize

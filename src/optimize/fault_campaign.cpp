@@ -117,8 +117,9 @@ Cycle first_event_cycle(const fault::FaultPlan* plan) {
 /// untouched.
 constexpr u64 kTimeoutCheckChunk = 1u << 20;
 
-/// Boot-probe bound for prepare_warm_fork (same spirit as the
-/// evaluator's: workloads still busy after this many cycles boot cold).
+/// Boot-probe bound for prepare_warm_fork: how far into the golden run
+/// it looks for a quiescent point; workloads still busy after this many
+/// cycles boot cold.
 constexpr Cycle kBootProbeLimit = 65'536;
 
 }  // namespace

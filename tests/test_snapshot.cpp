@@ -350,34 +350,6 @@ TEST(WarmFork, BusyWorkloadFallsBackToColdBoot) {
   EXPECT_EQ(campaign.run(scenarios).classification_hash(), cold_hash);
 }
 
-TEST(WarmFork, EvaluatorBootCacheIsHitAndBitIdentical) {
-  const workload::EngineWorkload w = idle_engine(2);
-  const soc::SocConfig chip;
-
-  optimize::ArchitectureEvaluator cold(chip);
-  cold.set_warm_fork(false);
-  cold.add_case(engine_case(w));
-  const auto cold_runs = cold.run_config(chip);
-
-  optimize::ArchitectureEvaluator warm(chip);
-  ASSERT_TRUE(warm.warm_fork());  // default on
-  warm.add_case(engine_case(w));
-  const auto warm_runs = warm.run_config(chip);
-  const auto warm_again = warm.run_config(chip);
-
-  const auto stats = warm.boot_cache_stats();
-  EXPECT_EQ(stats.misses, 1u);
-  EXPECT_EQ(stats.hits, 1u);
-
-  ASSERT_EQ(cold_runs.size(), 1u);
-  for (const auto& runs : {warm_runs, warm_again}) {
-    ASSERT_EQ(runs.size(), 1u);
-    EXPECT_EQ(runs[0].cycles, cold_runs[0].cycles);
-    EXPECT_EQ(runs[0].instructions, cold_runs[0].instructions);
-    EXPECT_TRUE(runs[0].halted);
-  }
-}
-
 // ---- manifest journal + resume ---------------------------------------
 
 host::CampaignHeader big_header() {
