@@ -1,6 +1,7 @@
 #include "isa/assembler.hpp"
 
 #include <cctype>
+#include <limits>
 #include <map>
 #include <optional>
 #include <sstream>
@@ -200,26 +201,24 @@ class Evaluator {
   }
 
   static Result<i64> parse_number(std::string_view s, usize& pos) {
+    const bool hex = pos + 1 < s.size() && s[pos] == '0' &&
+                     (s[pos + 1] == 'x' || s[pos + 1] == 'X');
+    if (hex) pos += 2;
+    const i64 base = hex ? 16 : 10;
+    const usize start = pos;
     i64 value = 0;
-    if (pos + 1 < s.size() && s[pos] == '0' &&
-        (s[pos + 1] == 'x' || s[pos + 1] == 'X')) {
-      pos += 2;
-      const usize start = pos;
-      while (pos < s.size() && std::isxdigit(static_cast<unsigned char>(s[pos]))) {
-        const char c = static_cast<char>(std::tolower(static_cast<unsigned char>(s[pos])));
-        value = value * 16 + (std::isdigit(static_cast<unsigned char>(c))
-                                  ? c - '0'
-                                  : c - 'a' + 10);
-        ++pos;
+    while (pos < s.size()) {
+      const auto c = static_cast<unsigned char>(s[pos]);
+      if (!(hex ? std::isxdigit(c) : std::isdigit(c))) break;
+      const i64 digit = std::isdigit(c) ? c - '0' : std::tolower(c) - 'a' + 10;
+      if (value > (std::numeric_limits<i64>::max() - digit) / base) {
+        return error(StatusCode::kParseError, "numeric literal out of range");
       }
-      if (pos == start) {
-        return error(StatusCode::kParseError, "malformed hex literal");
-      }
-      return value;
-    }
-    while (pos < s.size() && std::isdigit(static_cast<unsigned char>(s[pos]))) {
-      value = value * 10 + (s[pos] - '0');
+      value = value * base + digit;
       ++pos;
+    }
+    if (hex && pos == start) {
+      return error(StatusCode::kParseError, "malformed hex literal");
     }
     return value;
   }

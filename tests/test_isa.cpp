@@ -242,7 +242,11 @@ INSTANTIATE_TEST_SUITE_P(
         AsmError{"    .text 0x0\n    ld.w d0, [d1+0]\n",
                  "d-reg as memory base"},
         AsmError{"    .text 0x0\n    .align 3\n", "non-pow2 align"},
-        AsmError{"    .text 0x0\n    .word foo\n", "undefined data symbol"}));
+        AsmError{"    .text 0x0\n    .word foo\n", "undefined data symbol"},
+        AsmError{"    .text 0x0\n    movd d0, 36893488147419103233\n",
+                 "decimal literal wider than 64 bits"},
+        AsmError{"    .text 0x0\n    .word 0x10000000000000005\n",
+                 "hex literal wider than 64 bits"}));
 
 TEST(Assembler, ErrorsMentionLineNumbers) {
   auto prog = assemble("    .text 0x0\n    nop\n    frobnicate\n");
