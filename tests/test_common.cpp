@@ -1,11 +1,10 @@
-// Unit tests for src/common: bit utilities, ring buffer, bit streams,
-// PRNG determinism and the Status/Result types.
+// Unit tests for src/common: bit utilities, bit streams, PRNG
+// determinism and the Status/Result types.
 #include <gtest/gtest.h>
 
 #include "common/bits.hpp"
 #include "common/bitstream.hpp"
 #include "common/prng.hpp"
-#include "common/ring_buffer.hpp"
 #include "common/status.hpp"
 
 namespace audo {
@@ -45,40 +44,6 @@ TEST(Bits, Pow2Helpers) {
   EXPECT_EQ(align_up(8, 4), 8u);
   EXPECT_TRUE(is_aligned(64, 32));
   EXPECT_FALSE(is_aligned(48, 32));
-}
-
-TEST(RingBuffer, PushPopOrder) {
-  RingBuffer<int> rb(3);
-  rb.push(1);
-  rb.push(2);
-  rb.push(3);
-  EXPECT_TRUE(rb.full());
-  EXPECT_EQ(rb.pop(), 1);
-  rb.push(4);
-  EXPECT_EQ(rb.pop(), 2);
-  EXPECT_EQ(rb.pop(), 3);
-  EXPECT_EQ(rb.pop(), 4);
-  EXPECT_TRUE(rb.empty());
-}
-
-TEST(RingBuffer, OverwriteDropsOldest) {
-  RingBuffer<int> rb(2);
-  EXPECT_FALSE(rb.push_overwrite(1));
-  EXPECT_FALSE(rb.push_overwrite(2));
-  EXPECT_TRUE(rb.push_overwrite(3));  // drops 1
-  EXPECT_EQ(rb.pop(), 2);
-  EXPECT_EQ(rb.pop(), 3);
-}
-
-TEST(RingBuffer, RandomAccess) {
-  RingBuffer<int> rb(4);
-  rb.push(10);
-  rb.push(20);
-  rb.push(30);
-  EXPECT_EQ(rb.at(0), 10);
-  EXPECT_EQ(rb.at(2), 30);
-  rb.pop();
-  EXPECT_EQ(rb.at(0), 20);
 }
 
 TEST(BitStream, BasicRoundTrip) {
