@@ -125,7 +125,10 @@ class Evaluator {
       const char op = s[pos++];
       auto rhs = parse_atom(s, pos);
       if (!rhs.is_ok()) return rhs;
-      acc = (op == '+') ? acc + rhs.value() : acc - rhs.value();
+      if (op == '+' ? __builtin_add_overflow(acc, rhs.value(), &acc)
+                    : __builtin_sub_overflow(acc, rhs.value(), &acc)) {
+        return error(StatusCode::kParseError, "expression out of range");
+      }
     }
     return acc;
   }
@@ -139,6 +142,9 @@ class Evaluator {
       ++pos;
       auto inner = parse_atom(s, pos);
       if (!inner.is_ok()) return inner;
+      if (inner.value() == std::numeric_limits<i64>::min()) {
+        return error(StatusCode::kParseError, "expression out of range");
+      }
       return -inner.value();
     }
     if (s[pos] == '+') {  // unary plus (e.g. the "+off" half of [aN+off])

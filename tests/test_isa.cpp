@@ -246,7 +246,10 @@ INSTANTIATE_TEST_SUITE_P(
         AsmError{"    .text 0x0\n    movd d0, 36893488147419103233\n",
                  "decimal literal wider than 64 bits"},
         AsmError{"    .text 0x0\n    .word 0x10000000000000005\n",
-                 "hex literal wider than 64 bits"}));
+                 "hex literal wider than 64 bits"},
+        AsmError{"    .text 0x0\n"
+                 "    movd d0, 0x7FFFFFFFFFFFFFFF + 0x7FFFFFFFFFFFFFFF + 3\n",
+                 "sum wider than 64 bits"}));
 
 TEST(Assembler, ErrorsMentionLineNumbers) {
   auto prog = assemble("    .text 0x0\n    nop\n    frobnicate\n");
