@@ -63,11 +63,13 @@ enum class FastBail : u8 {
   kDataBusy,       // load/store in flight or a bus port still busy
   kNoBlock,        // no superblock covers next_pc (or it is empty)
   kCodeRoute,      // pspr without scratchpad / flash without I-cache
-  kStaleCode,      // code word changed under the predecode (SMC)
+  kStaleCode,      // code word changed under the predecode (SMC) or
+                   // has a pending ECC fault record
   kChunkTail,      // fetch or delivery would run past the chunk end
   kFallOff,        // sequential execution left the chunk
   kUnsupportedOp,  // op the fast table cannot represent
-  kDataRoute,      // data access needs the bus or misses the D-cache
+  kDataRoute,      // data access needs the bus or misses the D-cache,
+                   // or a load hits a pending ECC fault record
   kIcacheMiss,     // code fetch would refill over the bus
   kCount,
 };

@@ -17,8 +17,10 @@
 //
 // The window model freezes everything step() consults outside the core:
 // no bus traffic, no peripheral activity, no interrupt or trap delivery,
-// no fault hooks. The owning Soc guarantees those invariants before
-// opening a window and bounds it by the next peripheral activity cycle.
+// no read that hits a pending ECC fault record. The owning Soc guarantees
+// the outside invariants before opening a window and bounds it by the
+// next peripheral or fault-injector activity cycle; the plan phase bails
+// on the records.
 #include <cassert>
 
 #include "cpu/cpu.hpp"
@@ -526,6 +528,16 @@ bool Cpu::fast_cycle(FastWindow& fw, Cycle now, mcds::CoreObservation& obs) {
         return bail(FastBail::kStaleCode);
       }
     }
+    // The accurate delivery reads each word through the ECC hook, and a
+    // pending fault record there posts a safety alarm the window cannot
+    // step: leave that read to step().
+    const unsigned deliver_bytes = deliver_words * isa::kInstrBytes;
+    if (blk.pspr ? env_.code_spr->array().fault_pending(
+                       fetch_addr_ - env_.code_spr->base(), deliver_bytes)
+                 : env_.flash->fault_pending(mem::pflash_offset(fetch_addr_),
+                                             deliver_bytes)) {
+      return bail(FastBail::kStaleCode);
+    }
     assert(fw.count == 0 || deliver_idx == fw.front + fw.count);
   }
   const u32 q_front = fw.count == 0 ? deliver_idx : fw.front;
@@ -589,14 +601,25 @@ bool Cpu::fast_cycle(FastWindow& fw, Cycle now, mcds::CoreObservation& obs) {
       if (env_.data_spr == nullptr) return bail(FastBail::kDataRoute);
       const Addr addr =
           a_[op.instr.ra] + static_cast<Addr>(op.instr.imm);
+      const bool load = (op.flags & SuperOp::kLoad) != 0;
+      const unsigned bytes = FastExec::mem_bytes(op.instr.opcode);
       if (env_.data_spr->contains(addr)) {
         mem = FastMemPlan{addr, false};
-      } else if ((op.flags & SuperOp::kLoad) != 0 && env_.dcache != nullptr &&
+      } else if (load && env_.dcache != nullptr &&
                  env_.dcache->config().enabled && addr_in_cached_flash(addr) &&
                  env_.dcache->probe(addr)) {
         mem = FastMemPlan{addr, true};
       } else {
         // Bus route or D-cache miss: accurate path only.
+        return bail(FastBail::kDataRoute);
+      }
+      // A load over a pending ECC record posts an alarm, as a delivered
+      // code word does. A store scrubs records the same way in both tiers.
+      if (load &&
+          (mem.flash_hit
+               ? env_.flash->fault_pending(mem::pflash_offset(addr), bytes)
+               : env_.data_spr->array().fault_pending(
+                     addr - env_.data_spr->base(), bytes))) {
         return bail(FastBail::kDataRoute);
       }
     }

@@ -158,7 +158,7 @@ u32 EccDomain::on_read(usize offset, unsigned bytes, u32 raw) {
   if (records_.empty()) return raw;
   for (usize i = 0; i < records_.size();) {
     const Record r = records_[i];
-    if (offset < r.word_offset + 4u && r.word_offset < offset + bytes) {
+    if (r.overlaps(offset, bytes)) {
       if (monitor_ != nullptr) {
         monitor_->post(r.bits >= 2 ? AlarmKind::kEccUncorrectable
                                    : AlarmKind::kEccCorrected);
@@ -175,9 +175,13 @@ void EccDomain::on_write(usize offset, unsigned bytes) {
   if (records_.empty()) return;
   // A write re-encodes the word: pending fault records under it are
   // scrubbed without ever raising an alarm (the fault is masked).
-  std::erase_if(records_, [&](const Record& r) {
-    return offset < r.word_offset + 4u && r.word_offset < offset + bytes;
-  });
+  std::erase_if(records_,
+                [&](const Record& r) { return r.overlaps(offset, bytes); });
+}
+
+bool EccDomain::pending(usize offset, unsigned bytes) const {
+  return std::any_of(records_.begin(), records_.end(),
+                     [&](const Record& r) { return r.overlaps(offset, bytes); });
 }
 
 // ------------------------------------------------------- FaultInjector --

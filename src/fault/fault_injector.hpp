@@ -129,6 +129,7 @@ class EccDomain final : public mem::MemFaultHook {
 
   u32 on_read(usize offset, unsigned bytes, u32 raw) override;
   void on_write(usize offset, unsigned bytes) override;
+  bool pending(usize offset, unsigned bytes) const override;
 
   usize pending_records() const { return records_.size(); }
 
@@ -156,6 +157,11 @@ class EccDomain final : public mem::MemFaultHook {
   struct Record {
     u32 word_offset;
     u8 bits;
+
+    /// The access [offset, offset + bytes) touches this record's word.
+    bool overlaps(usize offset, unsigned bytes) const {
+      return offset < word_offset + 4u && word_offset < offset + bytes;
+    }
   };
 
   mem::MemArray* array_ = nullptr;

@@ -18,6 +18,11 @@ class MemFaultHook {
   virtual ~MemFaultHook() = default;
   virtual u32 on_read(usize offset, unsigned bytes, u32 raw) = 0;
   virtual void on_write(usize offset, unsigned bytes) = 0;
+  /// Whether on_read(offset, bytes, ...) would act on a pending fault
+  /// record (raise an alarm, consume the record). Side-effect free, so
+  /// the superblock tier can ask before committing a read it cannot
+  /// report on time.
+  virtual bool pending(usize offset, unsigned bytes) const = 0;
 };
 
 /// Little-endian byte array with 1/2/4-byte accessors. Out-of-range
@@ -80,6 +85,12 @@ class MemArray {
   /// access paths on a single predicted branch.
   void set_fault_hook(MemFaultHook* hook) { hook_ = hook; }
   MemFaultHook* fault_hook() const { return hook_; }
+
+  /// A read of [offset, offset + bytes) would hit a pending fault record
+  /// (MemFaultHook::pending); false on the one branch when no hook is set.
+  bool fault_pending(usize offset, unsigned bytes) const {
+    return hook_ != nullptr && hook_->pending(offset, bytes);
+  }
 
   u32 read32(usize offset) const { return read(offset, 4); }
   void write32(usize offset, u32 value) { write(offset, value, 4); }

@@ -188,8 +188,10 @@ void Soc::set_fault_injector(fault::FaultInjector* injector) {
   injector_ = injector;
   // Injectors poke memory arrays directly (ECC bit flips) below every
   // write listener: drop all predecoded superblocks on attach and detach
-  // so no predecode built around a poke survives. While attached, the
-  // fast tier is disabled outright (run_fast_window gates on injector_).
+  // so no predecode built around a poke survives. While attached, windows
+  // stay open: the injector's events bound them (next_activity_cycle), a
+  // poke that lands later is caught as stale code, and a read that would
+  // hit a pending ECC record bails to step().
   superblocks_.invalidate_all();
   if (injector_ == nullptr) return;
   fault::FaultInjector::Targets t;
@@ -648,11 +650,11 @@ u64 Soc::run_fast_window(u64 max_cycles, FrameSink* sink) {
     return 0;
   };
   // Window invariants (see cpu_fast.cpp): nothing outside the TC may act
-  // during the window. A fault injector disables the tier outright; the
-  // phase probe times step() phases that don't exist in a window.
-  if (injector_ != nullptr || probe_ != nullptr) {
-    return gate(FastGate::kInstrumented);
-  }
+  // during the window. The phase probe times step() phases that don't
+  // exist in a window. A fault injector acts only at its event cycles,
+  // which bound the window below; its bus errors and stuck SFRs need
+  // crossbar or bridge traffic, which no window makes.
+  if (probe_ != nullptr) return gate(FastGate::kInstrumented);
   // The TC's own bus traffic is the common blocker on flash-bound code (a
   // load waiting on the flash data port). Test it with plain field reads
   // before any scan, so such a decline costs O(1).
@@ -664,8 +666,8 @@ u64 Soc::run_fast_window(u64 max_cycles, FrameSink* sink) {
       (!pcp_->quiescent() || (!pcp_->halted() && pcp_->needs_slow_step()))) {
     return gate(FastGate::kPcpBusy);
   }
-  // With the fabric idle, the PCP parked, trap entries bailing and ECC
-  // domains needing an injector (tier off), no alarm source can fire
+  // With the fabric idle, the PCP parked, and trap entries and reads of
+  // words with pending ECC records bailing, no alarm source can fire
   // inside the window, and the bound below keeps the watchdog short of
   // its deadline. A quiescent monitor therefore stays an observable
   // no-op for the whole window: per-cycle step_cycle() — and with it the

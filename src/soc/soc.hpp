@@ -110,7 +110,7 @@ struct FastForwardStats {
 /// level, before the core's own fast_enter() got a say. Together with
 /// cpu::FastBail these are the `exec/gate.*` / `exec/bail.*` metrics.
 enum class FastGate : u8 {
-  kInstrumented,  // fault injector or phase probe attached
+  kInstrumented,  // phase probe attached
   kFabricBusy,    // DMA in flight or crossbar not idle
   kIrqPending,    // service-request raises awaiting delivery
   kPcpBusy,       // PCP running or about to act

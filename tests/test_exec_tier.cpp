@@ -11,7 +11,10 @@
 #include <string_view>
 #include <vector>
 
+#include "fault/fault_injector.hpp"
+#include "fault/safety_monitor.hpp"
 #include "helpers.hpp"
+#include "mem/memory_map.hpp"
 #include "optimize/fault_campaign.hpp"
 #include "profiling/cpi_stack.hpp"
 #include "profiling/dag.hpp"
@@ -314,6 +317,176 @@ TEST(ExecTier, FaultCampaignHashIdenticalAcrossTiersAndJobs) {
   for (const unsigned jobs : {1u, 2u, 8u}) {
     EXPECT_EQ(campaign_hash(ExecTier::kSuperblock, jobs), reference)
         << "jobs=" << jobs;
+  }
+}
+
+// A fault injector leaves the tier open: its one event bounds the
+// windows around it, and the idle engine's ISRs run fast before and after.
+TEST(ExecTier, WindowsOpenUnderFaultInjector) {
+  const auto w = idle_engine(3);
+  fault::FaultPlan plan;
+  fault::FaultEvent ev;
+  ev.at = 20'000;
+  ev.kind = fault::FaultKind::kBusError;
+  ev.slave = 0;
+  plan.events.push_back(ev);
+  Observed runs[2];
+  for (const ExecTier tier : {ExecTier::kSuperblock, ExecTier::kAccurate}) {
+    fault::FaultInjector injector(plan);  // outlives run_tier's Soc
+    const auto install = [&injector](soc::Soc& soc,
+                                     const workload::EngineWorkload& wl) {
+      soc.set_fault_injector(&injector);
+      return workload::install_engine(soc, wl);
+    };
+    runs[tier == ExecTier::kSuperblock ? 0 : 1] =
+        run_tier(w, install, tier, 5'000'000);
+    EXPECT_EQ(injector.total_injected(), 1u);
+  }
+  const Observed& fast = runs[0];
+  EXPECT_TRUE(fast.halted);
+  expect_identical(fast, runs[1]);
+  EXPECT_GT(fast.exec.fast_cycles, 0u);
+  EXPECT_EQ(fast.exec.gates[static_cast<unsigned>(soc::FastGate::kInstrumented)],
+            0u);
+}
+
+// ---- ECC records on words a window touches ----------------------------
+//
+// A flip under ECC leaves a record that the next read of its word turns
+// into a safety alarm. The loop below reads each target word (the code
+// at `touch`, the data at `word`) once per ~56-cycle iteration, so a flip
+// lands while its word is idle and the first read after it falls where a
+// window would run. That read must go to the accurate stepper, whose
+// monitor reports the alarm in the cycle of the read.
+
+std::string ecc_loop(std::string_view code, std::string_view touch,
+                     std::string_view data) {
+  return "    .text " + std::string(code) + R"(
+main:
+    movh   d1, hi(word)
+    ori    d1, d1, lo(word)
+    mov.ad a2, d1
+    movd   d0, 0
+    movd   d1, 1
+    movd   d2, 40
+loop:
+    call   touch
+    movd   d7, 16
+spin:
+    addi   d7, d7, -1
+    jnz    d7, spin
+    add    d0, d0, d1
+    jne    d0, d2, loop
+    halt
+    .text )" + std::string(touch) + R"(
+touch:
+    ld.w   d3, [a2+0]
+    add    d4, d4, d3
+    ret
+    .data )" + std::string(data) + R"(
+word:
+    .word  0x12345678
+)";
+}
+
+struct EccRoute {
+  const char* name;
+  std::string source;
+  fault::MemDomain domain;
+  const char* target;  // symbol of the flipped word
+};
+
+std::vector<EccRoute> ecc_routes() {
+  using fault::MemDomain;
+  return {
+      {"dspr_load", ecc_loop("0xC8000000", "0xC8000200", "0xC0000100"),
+       MemDomain::kDspr, "word"},
+      {"dcache_flash_load", ecc_loop("0xC8000000", "0xC8000200", "0x80010000"),
+       MemDomain::kPFlash, "word"},
+      {"pspr_code", ecc_loop("0xC8000000", "0xC8000200", "0xC0000100"),
+       MemDomain::kPspr, "touch"},
+      {"icache_flash_code", ecc_loop("0x80000000", "0x80000200", "0xC0000100"),
+       MemDomain::kPFlash, "touch"},
+  };
+}
+
+u32 domain_offset(fault::MemDomain domain, Addr addr) {
+  switch (domain) {
+    case fault::MemDomain::kDspr: return addr - mem::kDsprBase;
+    case fault::MemDomain::kPspr: return addr - mem::kPsprBase;
+    default: return mem::pflash_offset(addr);
+  }
+}
+
+struct EccRun {
+  u64 cycles = 0;
+  u64 retired = 0;
+  u64 frames = 0;
+  u64 frame_hash = 0;
+  std::array<u64, fault::kNumAlarmKinds> alarms{};
+  u64 fast_cycles_after = 0;  // window cycles after the flip
+};
+
+constexpr u64 kEccBudget = 60'000;
+
+/// Runs `program` with `flip` under the default SafetyConfig: ECC on in
+/// every domain, uncorrectable errors trap (and, with BTV unset, halt).
+EccRun run_ecc(const isa::Program& program, const fault::FaultEvent& flip,
+               ExecTier tier) {
+  soc::SocConfig config = test::small_config();
+  config.exec_tier = tier;
+  fault::FaultInjector injector(fault::FaultPlan{{flip}});
+  soc::Soc soc(config);
+  FrameHasher hasher;
+  soc.add_frame_observer(&hasher);
+  EXPECT_TRUE(soc.load(program).is_ok());
+  soc.set_fault_injector(&injector);
+  soc.reset(program.entry());
+  soc.run(flip.at);
+  const u64 fast_before = soc.exec_stats().fast_cycles;
+  soc.run(kEccBudget - flip.at);
+  EXPECT_EQ(injector.total_injected(), 1u);
+  EccRun r;
+  r.cycles = soc.cycle();
+  r.retired = soc.tc().retired();
+  r.frames = hasher.frames;
+  r.frame_hash = hasher.hash;
+  for (unsigned k = 0; k < fault::kNumAlarmKinds; ++k) {
+    r.alarms[k] = soc.safety().total(static_cast<fault::AlarmKind>(k));
+  }
+  r.fast_cycles_after = soc.exec_stats().fast_cycles - fast_before;
+  return r;
+}
+
+TEST(ExecTier, EccRecordsOnWindowWordsBitIdentical) {
+  for (const EccRoute& route : ecc_routes()) {
+    auto program = isa::assemble(route.source);
+    ASSERT_TRUE(program.is_ok()) << program.status().to_string();
+    const Addr target = program.value().symbol_addr(route.target).value();
+    for (const u8 bits : {u8{1}, u8{2}}) {
+      SCOPED_TRACE(std::string(route.name) + " " + std::to_string(bits) +
+                   "-bit");
+      fault::FaultEvent flip;
+      flip.at = 1'025;  // between two reads of the target
+      flip.kind = fault::FaultKind::kMemFlip;
+      flip.domain = route.domain;
+      flip.offset = domain_offset(route.domain, target);
+      flip.bits = bits;
+      flip.bit0 = 3;
+      flip.bit1 = 17;
+      const EccRun fast = run_ecc(program.value(), flip, ExecTier::kSuperblock);
+      const EccRun accurate = run_ecc(program.value(), flip, ExecTier::kAccurate);
+      EXPECT_EQ(fast.cycles, accurate.cycles);
+      EXPECT_EQ(fast.retired, accurate.retired);
+      EXPECT_EQ(fast.frames, accurate.frames);
+      EXPECT_EQ(fast.frame_hash, accurate.frame_hash);
+      EXPECT_EQ(fast.alarms, accurate.alarms);
+      EXPECT_GT(fast.fast_cycles_after, 0u);
+      // The flipped word really was read: its record raised the alarm.
+      const auto raised = bits == 1 ? fault::AlarmKind::kEccCorrected
+                                    : fault::AlarmKind::kEccUncorrectable;
+      EXPECT_EQ(accurate.alarms[static_cast<unsigned>(raised)], 1u);
+    }
   }
 }
 
