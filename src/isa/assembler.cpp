@@ -100,7 +100,7 @@ class Evaluator {
 
   Result<i64> eval(std::string_view expr) const {
     usize pos = 0;
-    auto value = parse_sum(expr, pos);
+    auto value = parse_sum(expr, pos, 0);
     if (!value.is_ok()) return value;
     skip_ws(expr, pos);
     if (pos != expr.size()) {
@@ -115,15 +115,19 @@ class Evaluator {
     while (pos < s.size() && std::isspace(static_cast<unsigned char>(s[pos]))) ++pos;
   }
 
-  Result<i64> parse_sum(std::string_view s, usize& pos) const {
-    auto lhs = parse_atom(s, pos);
+  /// Unary signs and parentheses recurse once per level; the bound keeps
+  /// a hostile operand from exhausting the stack.
+  static constexpr unsigned kMaxNesting = 256;
+
+  Result<i64> parse_sum(std::string_view s, usize& pos, unsigned depth) const {
+    auto lhs = parse_atom(s, pos, depth);
     if (!lhs.is_ok()) return lhs;
     i64 acc = lhs.value();
     for (;;) {
       skip_ws(s, pos);
       if (pos >= s.size() || (s[pos] != '+' && s[pos] != '-')) break;
       const char op = s[pos++];
-      auto rhs = parse_atom(s, pos);
+      auto rhs = parse_atom(s, pos, depth);
       if (!rhs.is_ok()) return rhs;
       if (op == '+' ? __builtin_add_overflow(acc, rhs.value(), &acc)
                     : __builtin_sub_overflow(acc, rhs.value(), &acc)) {
@@ -133,14 +137,17 @@ class Evaluator {
     return acc;
   }
 
-  Result<i64> parse_atom(std::string_view s, usize& pos) const {
+  Result<i64> parse_atom(std::string_view s, usize& pos, unsigned depth) const {
+    if (depth > kMaxNesting) {
+      return error(StatusCode::kParseError, "expression nested too deeply");
+    }
     skip_ws(s, pos);
     if (pos >= s.size()) {
       return error(StatusCode::kParseError, "expected expression atom");
     }
     if (s[pos] == '-') {
       ++pos;
-      auto inner = parse_atom(s, pos);
+      auto inner = parse_atom(s, pos, depth + 1);
       if (!inner.is_ok()) return inner;
       if (inner.value() == std::numeric_limits<i64>::min()) {
         return error(StatusCode::kParseError, "expression out of range");
@@ -149,11 +156,11 @@ class Evaluator {
     }
     if (s[pos] == '+') {  // unary plus (e.g. the "+off" half of [aN+off])
       ++pos;
-      return parse_atom(s, pos);
+      return parse_atom(s, pos, depth + 1);
     }
     if (s[pos] == '(') {
       ++pos;
-      auto inner = parse_sum(s, pos);
+      auto inner = parse_sum(s, pos, depth + 1);
       if (!inner.is_ok()) return inner;
       skip_ws(s, pos);
       if (pos >= s.size() || s[pos] != ')') {
@@ -185,7 +192,7 @@ class Evaluator {
     skip_ws(s, pos);
     if (pos < s.size() && s[pos] == '(') {
       ++pos;
-      auto inner = parse_sum(s, pos);
+      auto inner = parse_sum(s, pos, depth + 1);
       if (!inner.is_ok()) return inner;
       skip_ws(s, pos);
       if (pos >= s.size() || s[pos] != ')') {

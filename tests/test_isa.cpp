@@ -251,6 +251,36 @@ INSTANTIATE_TEST_SUITE_P(
                  "    movd d0, 0x7FFFFFFFFFFFFFFF + 0x7FFFFFFFFFFFFFFF + 3\n",
                  "sum wider than 64 bits"}));
 
+TEST(Assembler, ExpressionNestingIsBounded) {
+  const auto movd = [](const std::string& expr) {
+    return assemble("    .text 0x0\n    movd d0, " + expr + "\n    halt\n");
+  };
+  const auto nested = [](unsigned depth, std::string_view atom) {
+    return std::string(depth, '(') + std::string(atom) + std::string(depth, ')');
+  };
+  // The parser recurses once per unary sign or '('.
+  for (const std::string& deep :
+       {std::string(1'000, '-') + "1", nested(1'000, "1")}) {
+    auto prog = movd(deep);
+    ASSERT_FALSE(prog.is_ok());
+    EXPECT_EQ(prog.status().code(), StatusCode::kParseError);
+    EXPECT_NE(prog.status().message().find("nested too deeply"),
+              std::string::npos)
+        << prog.status().message();
+  }
+  for (const auto& [expr, want] :
+       {std::pair{std::string(32, '-') + "5", 5},
+        std::pair{nested(32, "7"), 7},
+        std::pair{nested(16, std::string(16, '-') + "lo(9)"), 9}}) {
+    auto prog = movd(expr);
+    ASSERT_TRUE(prog.is_ok()) << prog.status().to_string();
+    const auto& bytes = prog.value().sections()[0].bytes;
+    u32 w = 0;
+    for (int b = 0; b < 4; ++b) w |= bytes[b] << (8 * b);
+    EXPECT_EQ(decode(w).value().imm, want);
+  }
+}
+
 TEST(Assembler, ErrorsMentionLineNumbers) {
   auto prog = assemble("    .text 0x0\n    nop\n    frobnicate\n");
   ASSERT_FALSE(prog.is_ok());
