@@ -833,11 +833,14 @@ void Cpu::step(Cycle now, mcds::CoreObservation& obs) {
       break;
     }
     // Pop before executing: control transfers flush the queue inside
-    // execute(); a structural failure re-queues the instruction.
+    // execute(); a structural failure re-queues the instruction and points
+    // next_pc_ back at it, so an interrupt or trap entered before it
+    // retries returns to it rather than past it.
     fetch_queue_.pop_front();
     StallCause structural = StallCause::kNone;
     if (!execute(f, now, obs, structural)) {
       fetch_queue_.push_front(f);
+      next_pc_ = f.pc;
       if (issued == 0) stall = structural;
       break;
     }

@@ -540,6 +540,77 @@ isr:
   EXPECT_EQ(soc.tc().d(2), 0u) << "interrupt taken while disabled";
 }
 
+// Counts interrupt entries taken in the cycle right after one where the
+// oldest queued instruction waited for the busy LS port.
+struct IrqAfterLsPortBusy final : soc::FrameObserver {
+  bool prev_ls_busy = false;
+  u64 entries = 0;
+  void observe(const mcds::ObservationFrame& frame) override {
+    if (frame.tc.irq_entry && prev_ls_busy) ++entries;
+    prev_ls_busy = frame.tc.retired == 0 &&
+                   frame.tc.stall == mcds::StallCause::kLsPortBusy;
+  }
+  void skip_idle(const mcds::ObservationFrame&, u64) override {
+    prev_ls_busy = false;
+  }
+};
+
+TEST(CpuIrq, EntryDuringLsPortWaitReturnsToWaitingLoad) {
+  // The second uncached load waits for the LS port while the first one is
+  // on the bus. An interrupt entered in that wait must return to the
+  // waiting load: skipping it would leave d2 = 0 and d7 short of 4000.
+  auto program = isa::assemble(R"(
+    .text 0xC8000140       ; vector for priority 10
+    j isr
+    .text 0xC8001000
+main:
+    di
+    movha a14, 0xF000
+    movh  d0, 0xC800
+    mtcr  biv, d0
+    movd  d0, 101
+    st.w  d0, [a14+8]      ; STM CMP0 period 101 -> prio 10
+    movd  d0, 1
+    st.w  d0, [a14+16]     ; enable cmp0
+    movha a3, 0xA001       ; uncached alias of tbl
+    movd  d7, 0
+    movd  d6, 2000
+    mov.ad a2, d6
+    ei
+body:
+    movd  d2, 0
+    ld.w  d1, [a3+0]
+    ld.w  d2, [a3+256]
+    add   d7, d7, d2
+    loop  a2, body
+    halt
+isr:
+    rfe
+    .data 0x80010000
+tbl:
+    .word 1
+    .space 252
+    .word 2
+)");
+  ASSERT_TRUE(program.is_ok()) << program.status().to_string();
+  for (const auto tier : {soc::SocConfig::ExecTier::kAccurate,
+                          soc::SocConfig::ExecTier::kSuperblock}) {
+    soc::SocConfig config = small_config();
+    config.exec_tier = tier;
+    soc::Soc soc(config);
+    IrqAfterLsPortBusy probe;
+    soc.add_frame_observer(&probe);
+    ASSERT_TRUE(soc.load(program.value()).is_ok());
+    soc.irq_router().configure(soc.srcs().stm0, 10, periph::IrqTarget::kTc);
+    soc.reset(program.value().entry());
+    soc.run(1'000'000);
+    ASSERT_TRUE(soc.tc().halted());
+    EXPECT_EQ(soc.tc().d(7), 4000u);
+    // The case under test did occur.
+    EXPECT_GE(probe.entries, 1u);
+  }
+}
+
 TEST(CpuDeterminism, IdenticalRunsCycleExact) {
   const std::string body = flash_text(R"(
     movd d0, 0
