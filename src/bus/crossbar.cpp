@@ -93,6 +93,27 @@ bool Crossbar::idle() const {
   return true;
 }
 
+unsigned Crossbar::sole_service_left(const MasterPort& port) const {
+  if (port.state_ != MasterPort::State::kActive) return 0;
+  for (const MasterPort* other : pending_) {
+    if (other != nullptr && other != &port) return 0;
+  }
+  return port.remaining;
+}
+
+void Crossbar::skip_service(u64 n) {
+  for (unsigned s = 0; s < slaves_.size(); ++s) {
+    SlaveState& state = slave_state_[s];
+    if (!state.busy) continue;
+    assert(state.active_port->remaining > n && "skipped a completion");
+    stats_[s].busy_cycles += n;
+    state.active_port->remaining -= static_cast<unsigned>(n);
+  }
+  observation_.clear();
+  blocked_by_.fill(MasterId::kCount);
+  blocked_slave_.fill(0xFF);
+}
+
 void Crossbar::step(Cycle now) {
   observation_.clear();
   blocked_by_.fill(MasterId::kCount);

@@ -125,6 +125,19 @@ class Crossbar {
   /// state only clears the (already empty) observation.
   bool idle() const;
 
+  /// Service cycles left on `port`'s transaction, its completion cycle
+  /// included, when `port` is granted and no other port is pending on the
+  /// fabric; 0 otherwise. For a result n >= 2, the next n - 1 step()s only
+  /// count that transaction down and publish an empty observation.
+  unsigned sole_service_left(const MasterPort& port) const;
+
+  /// Bulk-advance `n` service-only cycles, as `n` step()s with no waiting
+  /// port and no completion would: every granted transaction serves `n`
+  /// cycles (`busy_cycles`, `remaining`) and the observation and
+  /// blocked-by records are cleared. The caller guarantees that no
+  /// transaction completes within the `n` cycles.
+  void skip_service(u64 n);
+
   const FabricObservation& observation() const { return observation_; }
   const SlaveStats& slave_stats(unsigned slave) const {
     return stats_.at(slave);

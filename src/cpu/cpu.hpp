@@ -60,7 +60,9 @@ enum class FastBail : u8 {
   kFrontendBusy,   // fetch on the bus, flushed fetch, or a queue that
                    // does not continue the superblock
   kCoreState,      // wfi, halted, pending trap or acceptable interrupt
-  kDataBusy,       // load/store in flight or a bus port still busy
+  kDataBusy,       // data transaction waiting for its grant or done,
+                   // fetch port busy, or an access needing the LS port
+                   // behind a granted one still in flight
   kNoBlock,        // no superblock covers next_pc (or it is empty)
   kCodeRoute,      // pspr without scratchpad / flash without I-cache
   kStaleCode,      // code word changed under the predecode (SMC) or
@@ -141,14 +143,16 @@ class Cpu {
     bool left_chunk = false;
   };
 
-  /// Try to open a fast window at the current PC. The core needs no bus
-  /// traffic (no fetch on the bus, no load or store pending, both ports
-  /// idle) and nothing pending, but its local front end may be live: the
-  /// queued instructions are adopted as the virtual queue when they are
-  /// consecutive ops of the superblock at next_pc() and equal its
-  /// predecoded Instrs, and a local fetch that continues them stays in
-  /// flight. Returns false when any condition fails or no superblock
-  /// covers next_pc().
+  /// Try to open a fast window at the current PC. The core needs no fetch
+  /// on the bus and nothing pending. A load or store may be in flight
+  /// once its port is granted: the caller must end the window before that
+  /// transaction completes (Soc::run_fast_window bounds it by
+  /// Crossbar::sole_service_left). One waiting for its grant or done
+  /// declines. The local front end may be live: the queued instructions
+  /// are adopted as the virtual queue when they are consecutive ops of the
+  /// superblock at next_pc() and equal its predecoded Instrs, and a local
+  /// fetch that continues them stays in flight. Returns false when any
+  /// condition fails or no superblock covers next_pc().
   bool fast_enter(FastWindow& fw);
 
   /// Execute one cycle inside the window. Returns false (machine

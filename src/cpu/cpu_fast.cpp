@@ -16,11 +16,15 @@
 //                      LRU/stat updates).
 //
 // The window model freezes everything step() consults outside the core:
-// no bus traffic, no peripheral activity, no interrupt or trap delivery,
-// no read that hits a pending ECC fault record. The owning Soc guarantees
-// the outside invariants before opening a window and bounds it by the
-// next peripheral or fault-injector activity cycle; the plan phase bails
-// on the records.
+// no bus traffic but the core's own granted data transaction, no
+// peripheral activity, no interrupt or trap delivery, no read that hits a
+// pending ECC fault record. The owning Soc guarantees the outside
+// invariants before opening a window and bounds it by the next peripheral
+// or fault-injector activity cycle and by the cycle before that
+// transaction completes; the plan phase bails on the records. While the
+// transaction is in flight it holds the LS port (every non-scratchpad
+// access bails) and, for a load, its destination at kFar, which the plan
+// reads as the accurate stepper's load-use hazards.
 #include <cassert>
 
 #include "cpu/cpu.hpp"
@@ -426,8 +430,11 @@ bool Cpu::fast_enter(FastWindow& fw) {
     return bail(FastBail::kFrontendBusy);
   }
   if (wfi_ || needs_slow_step()) return bail(FastBail::kCoreState);
-  if (load_pending_ || store_pending_) return bail(FastBail::kDataBusy);
-  if (!fetch_port_.idle() || !data_port_.idle()) {
+  // A granted load or store may stay in flight: the owning Soc ends the
+  // window before it completes, so meanwhile it only occupies the LS port
+  // and, for a load, holds its destination at kFar. One still waiting for
+  // its grant, or completed and not yet consumed, needs the stepper.
+  if (!fetch_port_.idle() || data_port_.waiting_grant() || data_port_.done()) {
     return bail(FastBail::kDataBusy);
   }
   const isa::Superblock* blk = env_.superblocks->lookup(next_pc_);
@@ -580,21 +587,33 @@ bool Cpu::fast_cycle(FastWindow& fw, Cycle now, mcds::CoreObservation& obs) {
     if (slot != nullptr && *slot) break;  // pipe slot taken: group full
 
     bool ready = true;
+    bool load_use = false;
     for (const u8 enc : op.src) {
       if (enc == SuperOp::kNoReg) break;
       const u8 r = enc & 0xF;
-      if ((enc & SuperOp::kAddrFile) != 0) {
-        if (a_ready_[r] > now || ((written_a >> r) & 1) != 0) ready = false;
-      } else {
-        if (d_ready_[r] > now || ((written_d >> r) & 1) != 0) ready = false;
-      }
-      if (!ready) break;
+      const bool addr_file = (enc & SuperOp::kAddrFile) != 0;
+      const Cycle at = addr_file ? a_ready_[r] : d_ready_[r];
+      const u32 written = addr_file ? written_a : written_d;
+      if (at > now || ((written >> r) & 1) != 0) ready = false;
+      if (at == kFar) load_use = true;
     }
     if (!ready) {
-      // kLoadUse needs a kFar (bus-load) deadline; the window admits no
-      // bus loads, so the only source-wait symptom is kExecLatency.
-      if (plan == 0) stall = StallCause::kExecLatency;
+      // A source waiting on the in-flight bus load (its kFar deadline) is
+      // a load-use stall; any other wait is execution latency.
+      if (plan == 0) {
+        stall = load_use ? StallCause::kLoadUse : StallCause::kExecLatency;
+      }
       break;
+    }
+    // Nor may an op overwrite the in-flight load's destination before the
+    // load completes (dest_blocked in the accurate issue loop).
+    if (op.dest != SuperOp::kNoReg) {
+      const u8 r = op.dest & 0xF;
+      if (((op.dest & SuperOp::kAddrFile) != 0 ? a_ready_[r] : d_ready_[r]) ==
+          kFar) {
+        if (plan == 0) stall = StallCause::kLoadUse;
+        break;
+      }
     }
 
     if ((op.flags & (SuperOp::kLoad | SuperOp::kStore)) != 0) {
@@ -605,6 +624,12 @@ bool Cpu::fast_cycle(FastWindow& fw, Cycle now, mcds::CoreObservation& obs) {
       const unsigned bytes = FastExec::mem_bytes(op.instr.opcode);
       if (env_.data_spr->contains(addr)) {
         mem = FastMemPlan{addr, false};
+      } else if (!data_port_.idle()) {
+        // Every other route, D-cache hits included, waits for the LS port
+        // the in-flight transaction holds; the stepper reports that as
+        // kLsPortBusy. Later in a group the op just ends it, as there.
+        if (plan == 0) return bail(FastBail::kDataBusy);
+        break;
       } else if (load && env_.dcache != nullptr &&
                  env_.dcache->config().enabled && addr_in_cached_flash(addr) &&
                  env_.dcache->probe(addr)) {

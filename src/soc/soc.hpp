@@ -187,10 +187,13 @@ class Soc {
   /// publishing a bit-identical ObservationFrame for every cycle (tracer,
   /// observers and `sink` all fire per cycle). Returns the cycles run —
   /// 0 whenever the machine state doesn't admit a window (wrong tier,
-  /// fault injector attached, bus traffic, no superblock at the PC, ...),
-  /// in which case the caller just step()s. `sink` may end the window
-  /// early by returning false. run() calls this at the top of its loop;
-  /// the Emulation Device calls it with its MCDS sink.
+  /// phase probe attached, bus traffic other than the TC's own granted
+  /// data transaction, no superblock at the PC, ...), in which case the
+  /// caller just step()s. A granted TC transaction alone on the fabric
+  /// stays in flight: the window ends the cycle before it completes.
+  /// `sink` may end the window early by returning false. run() calls
+  /// this at the top of its loop; the Emulation Device calls it with its
+  /// MCDS sink.
   u64 run_fast_window(u64 max_cycles, FrameSink* sink = nullptr);
 
   /// Invalidate predecoded superblocks overlapping [addr, addr+bytes).
