@@ -206,5 +206,47 @@ TEST(SocLoad, RejectsUnmappedSection) {
   EXPECT_FALSE(soc.load(program).is_ok());
 }
 
+// A section must end inside the memory that holds its base, in every
+// memory load() places sections in: one that runs 4 bytes past the end is
+// rejected, one that ends exactly at the end loads.
+TEST(SocLoad, RejectsSectionRunningPastItsMemory) {
+  const soc::SocConfig config = test::small_config();
+  ASSERT_TRUE(config.has_pcp);
+  const struct {
+    const char* name;
+    Addr base;
+    u32 bytes;
+  } memories[] = {
+      {"cached flash", mem::kPFlashCachedBase, config.pflash.size},
+      {"uncached flash", mem::kPFlashUncachedBase, config.pflash.size},
+      {"DSPR", mem::kDsprBase, config.dspr_bytes},
+      {"PSPR", mem::kPsprBase, config.pspr_bytes},
+      {"PCP PRAM", mem::kPcpPramBase, config.pcp_pram_bytes},
+      {"PCP DRAM", mem::kPcpDramBase, config.pcp_dram_bytes},
+      {"LMU", mem::kLmuBase, config.lmu_bytes},
+      {"DFlash", mem::kDFlashBase, config.dflash.size},
+  };
+  for (const auto& memory : memories) {
+    SCOPED_TRACE(memory.name);
+    for (const u32 overrun : {0u, 4u}) {
+      isa::Section section;
+      section.name = ".edge";
+      section.base = memory.base + memory.bytes - 8;
+      section.bytes.assign(8 + overrun, 0xA5);
+      isa::Program program;
+      program.add_section(section);
+      soc::Soc soc(config);
+      const Status loaded = soc.load(program);
+      if (overrun == 0) {
+        EXPECT_TRUE(loaded.is_ok()) << loaded.to_string();
+      } else {
+        EXPECT_EQ(loaded.code(), StatusCode::kOutOfRange);
+        EXPECT_NE(loaded.message().find("'.edge'"), std::string::npos)
+            << loaded.to_string();
+      }
+    }
+  }
+}
+
 }  // namespace
 }  // namespace audo
