@@ -57,31 +57,6 @@ void BM_SocSimulationWithMcds(benchmark::State& state) {
 }
 BENCHMARK(BM_SocSimulationWithMcds);
 
-// The fetch/decode hot path with the predecoded-program cache (the
-// default since the cache was introduced) vs the seed behaviour of
-// calling isa::decode on every fetched word. Same engine workload, so
-// the delta is exactly what the cache buys a single run.
-void BM_SocSimulationDecodeCache(benchmark::State& state) {
-  workload::EngineOptions opt;
-  opt.crank_time_scale = 80;
-  auto w = workload::build_engine_workload(opt);
-  if (!w.is_ok()) {
-    state.SkipWithError("engine build failed");
-    return;
-  }
-  soc::Soc soc{soc::SocConfig{}};
-  soc.set_decode_cache_enabled(state.range(0) != 0);
-  (void)workload::install_engine(soc, w.value());
-  for (auto _ : state) {
-    soc.step();
-    benchmark::DoNotOptimize(soc.cycle());
-  }
-  state.SetItemsProcessed(static_cast<i64>(state.iterations()));
-  state.SetLabel(state.range(0) != 0 ? "predecoded lookup"
-                                     : "isa::decode per fetched word");
-}
-BENCHMARK(BM_SocSimulationDecodeCache)->Arg(1)->Arg(0);
-
 // The quiescence fast-forward on its natural prey: an event-driven
 // engine build whose background parks in WFI, so nearly every cycle is
 // skipped O(1) instead of stepped. items/sec here is *simulated*

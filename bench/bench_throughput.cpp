@@ -1,8 +1,9 @@
 // Host-throughput smoke: the numbers behind BENCH_throughput.json.
 //
 //   1. Single-run simulator speed (simulated cycles per host second) on
-//      the engine workload, with the predecoded-program cache on vs off
-//      — measured with the existing HostProfiler, telemetry detached.
+//      the engine workload, alone and with the execution-DAG observer
+//      attached — measured with the existing HostProfiler, telemetry
+//      detached.
 //   2. A config sweep (the E6-style evaluator over the kernel suite) run
 //      serially and with --jobs workers: wall-clock for each plus a
 //      bit-identity check that the parallel sweep returned exactly the
@@ -85,34 +86,16 @@ int main(int argc, char** argv) {
 
   const u64 cycles = args.cycles != 0 ? args.cycles : 2'000'000;
 
-  // --- 1. single-run cycles/sec, decode cache on vs off ---------------
-  auto single_run_cps = [&](bool decode_cache) {
-    auto w = default_engine();
-    soc::SocConfig config;
-    args.apply(config);
-    soc::Soc soc{config};
-    soc.set_decode_cache_enabled(decode_cache);
-    if (Status s = workload::install_engine(soc, w); !s.is_ok()) {
-      std::fprintf(stderr, "install failed: %s\n", s.to_string().c_str());
-      std::exit(1);
-    }
-    telemetry::HostProfiler host;
-    host.start(soc.cycle());
-    soc.run(cycles);
-    host.stop(soc.cycle());
-    return host.sim_cycles_per_second();
-  };
-  const double cps_on = single_run_cps(true);
-  const double cps_off = single_run_cps(false);
-  // Same dense run with the execution-DAG frame observer attached: the
-  // per-cycle segmentation cost optimization consumers actually pay.
-  auto single_run_dag_cps = [&]() {
+  // --- 1. single-run cycles/sec, alone and with the DAG observer ------
+  // The DAG run attaches the execution-DAG frame observer: the per-cycle
+  // segmentation cost optimization consumers actually pay.
+  auto single_run_cps = [&](bool dag_observer) {
     auto w = default_engine();
     soc::SocConfig config;
     args.apply(config);
     soc::Soc soc{config};
     profiling::ExecutionDag dag{isa::SymbolMap(w.program)};
-    soc.set_frame_observer(&dag);
+    if (dag_observer) soc.set_frame_observer(&dag);
     if (Status s = workload::install_engine(soc, w); !s.is_ok()) {
       std::fprintf(stderr, "install failed: %s\n", s.to_string().c_str());
       std::exit(1);
@@ -123,16 +106,14 @@ int main(int argc, char** argv) {
     host.stop(soc.cycle());
     return host.sim_cycles_per_second();
   };
-  const double cps_dag = single_run_dag_cps();
+  const double cps = single_run_cps(false);
+  const double cps_dag = single_run_cps(true);
   std::printf("\nsingle run (%llu cycles, engine workload, telemetry "
               "detached):\n"
-              "  decode cache on:  %12.0f sim cycles/sec\n"
-              "  decode cache off: %12.0f sim cycles/sec (%.1f%% slower)\n"
+              "  engine alone:     %12.0f sim cycles/sec\n"
               "  + DAG observer:   %12.0f sim cycles/sec (%.1f%% slower)\n",
-              static_cast<unsigned long long>(cycles), cps_on, cps_off,
-              cps_on > 0.0 ? 100.0 * (cps_on - cps_off) / cps_on : 0.0,
-              cps_dag,
-              cps_on > 0.0 ? 100.0 * (cps_on - cps_dag) / cps_on : 0.0);
+              static_cast<unsigned long long>(cycles), cps, cps_dag,
+              cps > 0.0 ? 100.0 * (cps - cps_dag) / cps : 0.0);
 
   // --- 2. sweep wall-clock, serial vs --jobs --------------------------
   const auto catalogue = optimize::standard_catalogue();
@@ -386,8 +367,7 @@ int main(int argc, char** argv) {
   // Machine-readable tail for tools/bench_throughput.py.
   std::printf("\nTHROUGHPUT single_run_cycles=%llu\n",
               static_cast<unsigned long long>(cycles));
-  std::printf("THROUGHPUT single_run_cache_on_cps=%.0f\n", cps_on);
-  std::printf("THROUGHPUT single_run_cache_off_cps=%.0f\n", cps_off);
+  std::printf("THROUGHPUT single_run_cps=%.0f\n", cps);
   std::printf("THROUGHPUT single_run_dag_cps=%.0f\n", cps_dag);
   std::printf("THROUGHPUT sweep_serial_seconds=%.4f\n", serial_s);
   std::printf("THROUGHPUT sweep_parallel_seconds=%.4f\n", parallel_s);
@@ -437,8 +417,7 @@ int main(int argc, char** argv) {
     telemetry.attach(soc);
     telemetry.start();
     soc.run(200'000);
-    telemetry.add_extra("single_run_cache_on_cps", cps_on);
-    telemetry.add_extra("single_run_cache_off_cps", cps_off);
+    telemetry.add_extra("single_run_cps", cps);
     telemetry.add_extra("single_run_dag_cps", cps_dag);
     telemetry.add_extra("sweep_speedup",
                         parallel_s > 0.0 ? serial_s / parallel_s : 0.0);

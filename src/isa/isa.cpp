@@ -104,6 +104,96 @@ const OpInfo& op_info(Opcode op) {
   return kOpTable[index];
 }
 
+Operands operands(const Instr& in) {
+  Operands ops;
+  const OpInfo& info = op_info(in.opcode);
+  const auto reg = [](bool addr_file, u8 idx) {
+    return static_cast<u8>((addr_file ? Operands::kAddrFile : 0) |
+                           (idx & 0xF));
+  };
+  unsigned n = 0;
+  const auto src = [&](bool addr_file, u8 idx) {
+    ops.src[n++] = reg(addr_file, idx);
+  };
+  const auto dest = [&](bool addr_file, u8 idx) {
+    ops.dest = reg(addr_file, idx);
+  };
+  using enum Opcode;
+  if (info.uses_rb) {
+    const bool a = in.opcode == kAdda;
+    src(a, in.ra);
+    src(a, in.rb);
+    if (in.opcode == kMac) src(false, in.rd);  // accumulator is a source
+    dest(a, in.rd);
+    return ops;
+  }
+  if (info.is_load) {
+    src(true, in.ra);
+    dest(in.opcode == kLdA, in.rd);
+    return ops;
+  }
+  if (info.is_store) {
+    src(in.opcode == kStA, in.rd);  // value
+    src(true, in.ra);               // base
+    return ops;
+  }
+  switch (in.opcode) {
+    case kAbs: case kAddi: case kAndi: case kOri: case kXori:
+    case kShli: case kShri: case kSari:
+      src(false, in.ra);
+      dest(false, in.rd);
+      break;
+    case kMovd: case kMovh: case kMfcr:
+      dest(false, in.rd);
+      break;
+    case kMovDA:
+      src(true, in.ra);
+      dest(false, in.rd);
+      break;
+    case kMovAD:
+      src(false, in.ra);
+      dest(true, in.rd);
+      break;
+    case kMovA: case kLea:
+      src(true, in.ra);
+      dest(true, in.rd);
+      break;
+    case kMovha:
+      dest(true, in.rd);
+      break;
+    case kMtcr:
+      src(false, in.ra);
+      break;
+    case kJi:
+      src(true, in.ra);
+      break;
+    case kCall:
+      dest(true, 11);
+      break;
+    case kCalli:
+      src(true, in.ra);
+      dest(true, 11);
+      break;
+    case kRet:
+      src(true, 11);
+      break;
+    case kJeq: case kJne: case kJlt: case kJge: case kJltu: case kJgeu:
+      src(false, in.rd);
+      src(false, in.ra);
+      break;
+    case kJz: case kJnz:
+      src(false, in.rd);
+      break;
+    case kLoop:
+      src(true, in.rd);
+      dest(true, in.rd);
+      break;
+    default:
+      break;
+  }
+  return ops;
+}
+
 u32 encode(const Instr& instr) {
   const OpInfo& info = op_info(instr.opcode);
   u32 word = 0;

@@ -17,6 +17,7 @@
 // signed imm16 counted in 32-bit words relative to the *next* instruction.
 #pragma once
 
+#include <array>
 #include <optional>
 #include <string>
 
@@ -129,6 +130,40 @@ struct OpInfo {
 };
 
 const OpInfo& op_info(Opcode op);
+
+/// Register operands of an instruction, as the scoreboard sees them. Each
+/// entry encodes one register: `kAddrFile` selects the address file, the
+/// low four bits the index. `kNoReg` ends `src` (at most three sources)
+/// and marks an instruction without a destination.
+struct Operands {
+  static constexpr u8 kNoReg = 0xFF;
+  static constexpr u8 kAddrFile = 0x80;
+  std::array<u8, 3> src{kNoReg, kNoReg, kNoReg};
+  u8 dest = kNoReg;
+};
+
+/// The registers `instr` reads and the one it writes: the operand table
+/// behind both execution tiers' hazard checks.
+Operands operands(const Instr& instr);
+
+/// Bytes a load or store moves.
+constexpr unsigned access_bytes(Opcode op) {
+  switch (op) {
+    case Opcode::kLdB: case Opcode::kStB: return 1;
+    case Opcode::kLdH: case Opcode::kStH: return 2;
+    default: return 4;
+  }
+}
+
+/// The register value of a load that read `raw`: byte and halfword loads
+/// sign-extend.
+constexpr u32 extend_loaded(Opcode op, u32 raw) {
+  switch (op) {
+    case Opcode::kLdB: return static_cast<u32>(static_cast<i32>(static_cast<i8>(raw)));
+    case Opcode::kLdH: return static_cast<u32>(static_cast<i32>(static_cast<i16>(raw)));
+    default: return raw;
+  }
+}
 
 /// Encode to the 32-bit instruction word.
 u32 encode(const Instr& instr);

@@ -20,7 +20,6 @@ SuperOp predecode_word(u32 word) {
   if (info.is_load) op.flags |= SuperOp::kLoad;
   if (info.is_store) op.flags |= SuperOp::kStore;
   if (info.is_branch) op.flags |= SuperOp::kBranch;
-  if (info.is_cond_branch) op.flags |= SuperOp::kCondBranch;
   // The fast tier executes the three ordinary pipes plus NOP; every other
   // SYS op (HALT, WFI, EI/DI, RFE, MFCR/MTCR, DEBUG) changes state the
   // window model freezes, so the cycle that issues one is replayed by the
@@ -28,87 +27,7 @@ SuperOp predecode_word(u32 word) {
   if (info.pipe == Pipe::kSys && op.instr.opcode != Opcode::kNop) {
     op.flags |= SuperOp::kBail;
   }
-
-  // Source/destination sets: must mirror the accurate stepper's hazard
-  // tables (cpu.cpp sources_of/dest_of) exactly — the fast issue loop
-  // checks the same scoreboard through this precomputed form.
-  const Instr& in = op.instr;
-  unsigned n = 0;
-  const auto add_src = [&](bool addr_file, u8 idx) {
-    op.src[n++] = static_cast<u8>((addr_file ? SuperOp::kAddrFile : 0) |
-                                  (idx & 0xF));
-  };
-  using enum Opcode;
-  if (info.uses_rb) {
-    const bool a = in.opcode == kAdda;
-    add_src(a, in.ra);
-    add_src(a, in.rb);
-    if (in.opcode == kMac) add_src(false, in.rd);  // accumulator is a source
-  } else if (info.is_load) {
-    add_src(true, in.ra);
-  } else if (info.is_store) {
-    add_src(in.opcode == kStA, in.rd);  // value
-    add_src(true, in.ra);               // base
-  } else {
-    switch (in.opcode) {
-      case kAbs: case kAddi: case kAndi: case kOri: case kXori:
-      case kShli: case kShri: case kSari:
-        add_src(false, in.ra);
-        break;
-      case kMovAD: case kMtcr:
-        add_src(false, in.ra);
-        break;
-      case kMovDA: case kMovA: case kLea: case kJi: case kCalli:
-        add_src(true, in.ra);
-        break;
-      case kRet:
-        add_src(true, 11);
-        break;
-      case kJeq: case kJne: case kJlt: case kJge: case kJltu: case kJgeu:
-        add_src(false, in.rd);
-        add_src(false, in.ra);
-        break;
-      case kJz: case kJnz:
-        add_src(false, in.rd);
-        break;
-      case kLoop:
-        add_src(true, in.rd);
-        break;
-      default:
-        break;
-    }
-  }
-
-  const auto set_dest = [&](bool addr_file, u8 idx) {
-    op.dest = static_cast<u8>((addr_file ? SuperOp::kAddrFile : 0) |
-                              (idx & 0xF));
-  };
-  if (info.is_store) {
-    // no destination
-  } else if (info.uses_rb) {
-    set_dest(in.opcode == kAdda, in.rd);
-  } else if (info.is_load) {
-    set_dest(in.opcode == kLdA, in.rd);
-  } else {
-    switch (in.opcode) {
-      case kAbs: case kAddi: case kAndi: case kOri: case kXori:
-      case kShli: case kShri: case kSari: case kMovd: case kMovh:
-      case kMovDA: case kMfcr:
-        set_dest(false, in.rd);
-        break;
-      case kMovAD: case kMovA: case kMovha: case kLea:
-        set_dest(true, in.rd);
-        break;
-      case kLoop:
-        set_dest(true, in.rd);
-        break;
-      case kCall: case kCalli:
-        set_dest(true, 11);
-        break;
-      default:
-        break;
-    }
-  }
+  op.regs = operands(op.instr);
   return op;
 }
 
@@ -144,7 +63,6 @@ Superblock* SuperblockCache::build(Region& region, u32 chunk_index) {
 }
 
 const Superblock* SuperblockCache::lookup(Addr pc) {
-  ++stats_.lookups;
   for (Region& region : regions_) {
     if (!region.contains(pc)) continue;
     const u32 ci = static_cast<u32>((pc - region.base) / kChunkBytes);

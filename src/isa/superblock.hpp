@@ -4,15 +4,12 @@
 // A superblock is a chunk of straight-line code predecoded into a dense
 // array of operation records: for every word, the decoded instruction
 // plus everything the per-cycle issue loop otherwise recomputes — pipe,
-// result latency, the source/destination register sets behind the
-// scoreboard checks, and a per-opcode execute functor. The fast tier in
-// cpu::Cpu walks these arrays with a function-pointer dispatch loop
-// instead of re-deriving the same metadata for the same loop body
-// millions of times.
+// result latency and the operand set behind the scoreboard checks. The
+// fast tier in cpu::Cpu plans each cycle from these records and commits
+// it through the same instruction semantics the accurate stepper uses.
 //
-// Correctness follows the decode cache's word-validation story: every
-// record stores the raw memory word it was decoded from, and the fast
-// tier compares records against memory before consuming them — code
+// Every record stores the raw memory word it was decoded from, and the
+// fast tier compares records against memory before consuming them: code
 // modified at runtime mismatches and falls back to the accurate stepper
 // (which re-reads memory and re-decodes). On top of that, the owning Soc
 // routes every runtime code-write path (scratchpad stores, DMA, program
@@ -20,7 +17,6 @@
 // drops the affected chunks eagerly.
 #pragma once
 
-#include <array>
 #include <memory>
 #include <vector>
 
@@ -34,12 +30,11 @@ struct SuperOp {
   enum Flags : u8 {
     kLoad = 1u << 0,
     kStore = 1u << 1,
-    kBranch = 1u << 2,      // any control transfer
-    kCondBranch = 1u << 3,  // taken-ness depends on register state
+    kBranch = 1u << 2,  // any control transfer
     /// The fast tier cannot execute this op (SYS-pipe ops other than NOP,
     /// and undecodable words): the cycle that would issue it falls back
     /// to the accurate stepper untouched.
-    kBail = 1u << 4,
+    kBail = 1u << 3,
   };
 
   u32 word = 0;   // raw memory word the decode was made from
@@ -48,14 +43,7 @@ struct SuperOp {
   u8 pipe = 0;     // isa::Pipe
   u8 latency = 1;  // OpInfo::result_latency
   u8 flags = 0;
-
-  /// Source registers, precomputed from the same table as the accurate
-  /// stepper's hazard check: bit 7 selects the address file, low bits the
-  /// index. `kNoReg` terminates the (always <= 3-entry) list.
-  static constexpr u8 kNoReg = 0xFF;
-  static constexpr u8 kAddrFile = 0x80;
-  std::array<u8, 3> src{kNoReg, kNoReg, kNoReg};
-  u8 dest = kNoReg;  // destination register, same encoding
+  Operands regs;   // isa::operands(instr)
 };
 
 /// A contiguous predecoded chunk of one code region. Chunks are aligned
@@ -87,7 +75,6 @@ class SuperblockCache {
 
   struct Stats {
     u64 builds = 0;        // chunks predecoded
-    u64 lookups = 0;       // window-entry lookups
     u64 invalidations = 0; // chunks dropped by the invalidation funnel
   };
 
@@ -126,7 +113,7 @@ class SuperblockCache {
 };
 
 /// Populate a SuperOp from a raw word (decode + metadata precompute).
-/// Exposed for tests; the cache uses it internally.
+/// The cache builds every chunk with it.
 SuperOp predecode_word(u32 word);
 
 }  // namespace audo::isa

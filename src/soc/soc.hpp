@@ -15,7 +15,6 @@
 #include "common/status.hpp"
 #include "cpu/cpu.hpp"
 #include "fault/safety_monitor.hpp"
-#include "isa/decode_cache.hpp"
 #include "isa/program.hpp"
 #include "isa/superblock.hpp"
 #include "mcds/observation.hpp"
@@ -257,8 +256,8 @@ class Soc {
 
   /// Restore a previously captured image into this machine. Call on a
   /// freshly constructed Soc with the same architecture shape, after
-  /// load()ing the same program (memory contents come from the image;
-  /// load() is what populates the host-side decode cache). The resulting
+  /// load()ing the same program (memory contents come from the image).
+  /// The resulting
   /// machine continues bit-identically to the one that was saved. On a
   /// non-ok return the machine state is indeterminate and the Soc must
   /// be discarded — corrupt or wrong-version images never get this far
@@ -314,15 +313,6 @@ class Soc {
   /// also unhooks its ECC domains from the memory arrays).
   void set_fault_injector(fault::FaultInjector* injector);
   fault::FaultInjector* fault_injector() { return injector_; }
-
-  /// Host acceleration: predecoded program image consulted by the cores'
-  /// fetch path. On by default; lookups are validated against the word
-  /// just read from memory, so enabling it cannot change behaviour (see
-  /// isa/decode_cache.hpp). Disabling takes effect immediately (the cache
-  /// is cleared); re-enabling populates on the next load().
-  void set_decode_cache_enabled(bool enabled);
-  bool decode_cache_enabled() const { return decode_cache_enabled_; }
-  const isa::DecodeCache& decode_cache() const { return decode_cache_; }
 
   // ---- host telemetry (all optional, null by default) ----------------
   //
@@ -411,9 +401,6 @@ class Soc {
 
   fault::SafetyMonitor monitor_;
   fault::FaultInjector* injector_ = nullptr;
-
-  isa::DecodeCache decode_cache_;
-  bool decode_cache_enabled_ = true;
 
   isa::SuperblockCache superblocks_;
   /// Scratchpad write listener on the PSPR: routes runtime writes over

@@ -60,18 +60,18 @@ struct SocConfig {
   /// over the idle cycles to the next scheduled activity instead of
   /// stepping through them. Bit-identical to cycle-by-cycle execution
   /// (every counter, deadline and trace timestamp advances exactly as if
-  /// each cycle had been stepped), so — like the decode cache — it is a
-  /// host knob, deliberately excluded from fingerprint().
+  /// each cycle had been stepped), so it is a host knob, deliberately
+  /// excluded from fingerprint().
   bool fast_forward = true;
 
   /// Host acceleration: execution-engine tier. kSuperblock predecodes
-  /// straight-line code into dense superblocks and runs them through a
-  /// function-pointer dispatch loop whenever the SoC state permits,
-  /// bailing to the accurate stepper the moment anything interesting
-  /// (trap, IRQ, cache miss, bus traffic, self-modified code) shows up.
-  /// Bit-identical to kAccurate — every ObservationFrame, MCDS event,
-  /// stall attribution and counter matches — so, like fast_forward and
-  /// the decode cache, it is a host knob excluded from fingerprint().
+  /// straight-line code into dense superblocks and runs whole cycles out
+  /// of them whenever the SoC state permits, bailing to the accurate
+  /// stepper the moment anything interesting (trap, IRQ, cache miss, bus
+  /// traffic, self-modified code) shows up. Bit-identical to kAccurate —
+  /// every ObservationFrame, MCDS event, stall attribution and counter
+  /// matches — so, like fast_forward, it is a host knob excluded from
+  /// fingerprint().
   enum class ExecTier : u8 { kAccurate, kSuperblock };
   ExecTier exec_tier = ExecTier::kSuperblock;
 

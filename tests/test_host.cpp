@@ -1,7 +1,6 @@
 // Host parallel-sweep engine tests: the SimPool determinism contract
 // (any job count returns results in submission order, bit-identical to
-// serial), the evaluator riding on it, and the predecoded-program cache
-// (identical architecture for identical runs, cache on or off).
+// serial) and the evaluator riding on it.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -10,10 +9,8 @@
 #include "helpers.hpp"
 #include "host/sim_job.hpp"
 #include "host/sim_pool.hpp"
-#include "isa/decode_cache.hpp"
 #include "optimize/evaluator.hpp"
 #include "optimize/options.hpp"
-#include "workload/engine.hpp"
 #include "workload/kernels.hpp"
 
 namespace audo {
@@ -154,76 +151,6 @@ TEST(EvaluatorParallel, InteractionsIdenticalAcrossJobCounts) {
     EXPECT_EQ(serial[i].speedup_both, parallel[i].speedup_both);
     EXPECT_EQ(serial[i].synergy, parallel[i].synergy);
   }
-}
-
-// ---- decode cache ---------------------------------------------------
-
-TEST(DecodeCache, LookupValidatesAgainstMemoryWord) {
-  auto program = isa::assemble(test::pspr_text(R"(
-    addi d0, d0, 7
-    addi d1, d1, 9
-    halt
-)"));
-  ASSERT_TRUE(program.is_ok());
-  const auto& sec = program.value().sections().front();
-  isa::DecodeCache cache;
-  cache.add_section(sec.base, sec.bytes);
-  EXPECT_FALSE(cache.empty());
-
-  const u32 word0 = static_cast<u32>(sec.bytes[0]) |
-                    static_cast<u32>(sec.bytes[1]) << 8 |
-                    static_cast<u32>(sec.bytes[2]) << 16 |
-                    static_cast<u32>(sec.bytes[3]) << 24;
-  const isa::Instr* hit = cache.lookup(sec.base, word0);
-  ASSERT_NE(hit, nullptr);
-  const auto fresh = isa::decode(word0);
-  ASSERT_TRUE(fresh.is_ok());
-  EXPECT_EQ(hit->opcode, fresh.value().opcode);
-
-  // A word that no longer matches what was predecoded (self-modified
-  // code) must miss, as must any address outside the cached sections.
-  EXPECT_EQ(cache.lookup(sec.base, word0 ^ 1), nullptr);
-  EXPECT_EQ(cache.lookup(sec.base + 0x1000000, word0), nullptr);
-
-  cache.clear();
-  EXPECT_TRUE(cache.empty());
-  EXPECT_EQ(cache.lookup(sec.base, word0), nullptr);
-}
-
-TEST(DecodeCacheSoc, EngineRunIdenticalWithCacheOnAndOff) {
-  workload::EngineOptions opt;
-  opt.crank_time_scale = 80;
-  auto w = workload::build_engine_workload(opt);
-  ASSERT_TRUE(w.is_ok());
-
-  auto run_one = [&](bool cache_on) {
-    auto soc = std::make_unique<soc::Soc>(soc::SocConfig{});
-    soc->set_decode_cache_enabled(cache_on);
-    EXPECT_EQ(soc->decode_cache_enabled(), cache_on);
-    const Status s = workload::install_engine(*soc, w.value());
-    EXPECT_TRUE(s.is_ok()) << s.to_string();
-    soc->run(200'000);
-    return soc;
-  };
-  const auto with_cache = run_one(true);
-  const auto without = run_one(false);
-
-  EXPECT_FALSE(with_cache->decode_cache().empty());
-  EXPECT_TRUE(without->decode_cache().empty());
-
-  // Same cycle count, same retirement, same architectural register file:
-  // the cache is a pure host-side accelerator.
-  EXPECT_EQ(with_cache->cycle(), without->cycle());
-  EXPECT_EQ(with_cache->tc().retired(), without->tc().retired());
-  EXPECT_EQ(with_cache->tc().halted(), without->tc().halted());
-  EXPECT_EQ(with_cache->tc().next_pc(), without->tc().next_pc());
-  for (unsigned r = 0; r < 16; ++r) {
-    EXPECT_EQ(with_cache->tc().d(r), without->tc().d(r)) << "d" << r;
-    EXPECT_EQ(with_cache->tc().a(r), without->tc().a(r)) << "a" << r;
-  }
-  ASSERT_NE(with_cache->pcp(), nullptr);
-  ASSERT_NE(without->pcp(), nullptr);
-  EXPECT_EQ(with_cache->pcp()->retired(), without->pcp()->retired());
 }
 
 // ---- SimJob ---------------------------------------------------------

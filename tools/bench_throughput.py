@@ -2,8 +2,8 @@
 """CI perf smoke: run bench_throughput and emit BENCH_throughput.json.
 
 Runs the bench binary, parses its `THROUGHPUT key=value` tail, derives the
-headline numbers (single-run cycles/sec with the decode cache on/off, and
-serial-vs-parallel sweep wall clock), and writes them as one JSON artifact.
+headline numbers (single-run cycles/sec and serial-vs-parallel sweep wall
+clock), and writes them as one JSON artifact.
 
 Checks applied:
   - the parallel sweep must be bit-identical to the serial one (always);
@@ -67,9 +67,8 @@ def main():
 
     values = parse_throughput_lines(proc.stdout)
     required = [
-        "single_run_cache_on_cps", "single_run_cache_off_cps",
-        "sweep_serial_seconds", "sweep_parallel_seconds", "sweep_jobs",
-        "hardware_jobs", "sweep_identical",
+        "single_run_cps", "sweep_serial_seconds", "sweep_parallel_seconds",
+        "sweep_jobs", "hardware_jobs", "sweep_identical",
         "ff_on_seconds", "ff_off_seconds", "ff_identical",
     ]
     missing = [k for k in required if k not in values]
@@ -136,8 +135,7 @@ def main():
         "schema": "trisim-bench-throughput/1",
         "single_run": {
             "cycles": int(values.get("single_run_cycles", 0)),
-            "cache_on_cycles_per_second": values["single_run_cache_on_cps"],
-            "cache_off_cycles_per_second": values["single_run_cache_off_cps"],
+            "cycles_per_second": values["single_run_cps"],
             # Dense run with the execution-DAG observer attached (0 when
             # produced by an older bench binary).
             "dag_observer_cycles_per_second":

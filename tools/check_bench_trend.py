@@ -74,12 +74,9 @@ def check(fresh, base, tolerance, dense_tolerance, min_dense_speedup):
 
     # Banded: throughput may wobble with the host, not collapse.
     banded = [
-        ("single_run.cache_on_cycles_per_second",
-         fresh["single_run"]["cache_on_cycles_per_second"],
-         base["single_run"]["cache_on_cycles_per_second"]),
-        ("single_run.cache_off_cycles_per_second",
-         fresh["single_run"]["cache_off_cycles_per_second"],
-         base["single_run"]["cache_off_cycles_per_second"]),
+        ("single_run.cycles_per_second",
+         fresh["single_run"]["cycles_per_second"],
+         base["single_run"]["cycles_per_second"]),
         ("fast_forward.speedup",
          fresh["fast_forward"]["speedup"],
          base["fast_forward"]["speedup"]),
