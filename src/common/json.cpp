@@ -126,6 +126,9 @@ u64 JsonValue::as_u64() const {
       return v;
     }
   }
+  // Converting a double outside [0, 2^64) to u64 is undefined: such a
+  // number reads 0, as a non-number does.
+  if (!(number >= 0.0 && number < 0x1p64)) return 0;
   return static_cast<u64>(number);
 }
 
@@ -137,7 +140,7 @@ class Parser {
 
   Result<JsonValue> run() {
     JsonValue v;
-    if (Status s = parse_value(v); !s.is_ok()) return s;
+    if (Status s = parse_value(v, 0); !s.is_ok()) return s;
     skip_ws();
     if (pos_ != text_.size()) {
       return fail("trailing characters after JSON document");
@@ -167,13 +170,21 @@ class Parser {
     return false;
   }
 
-  Status parse_value(JsonValue& out) {
+  /// Arrays and objects recurse once per level; the bound keeps a hostile
+  /// document from exhausting the stack.
+  static constexpr unsigned kMaxNesting = 256;
+
+  /// Parse one value nested inside `depth` arrays and objects.
+  Status parse_value(JsonValue& out, unsigned depth) {
     skip_ws();
     if (pos_ >= text_.size()) return fail("unexpected end of input");
     const char c = text_[pos_];
+    if ((c == '{' || c == '[') && depth == kMaxNesting) {
+      return fail("nesting too deep");
+    }
     switch (c) {
-      case '{': return parse_object(out);
-      case '[': return parse_array(out);
+      case '{': return parse_object(out, depth + 1);
+      case '[': return parse_array(out, depth + 1);
       case '"': {
         out.kind = JsonValue::Kind::kString;
         return parse_string(out.string);
@@ -271,14 +282,14 @@ class Parser {
     return fail("unterminated string");
   }
 
-  Status parse_array(JsonValue& out) {
+  Status parse_array(JsonValue& out, unsigned depth) {
     consume('[');
     out.kind = JsonValue::Kind::kArray;
     skip_ws();
     if (consume(']')) return Status::ok();
     while (true) {
       JsonValue elem;
-      if (Status s = parse_value(elem); !s.is_ok()) return s;
+      if (Status s = parse_value(elem, depth); !s.is_ok()) return s;
       out.array.push_back(std::move(elem));
       skip_ws();
       if (consume(']')) return Status::ok();
@@ -286,7 +297,7 @@ class Parser {
     }
   }
 
-  Status parse_object(JsonValue& out) {
+  Status parse_object(JsonValue& out, unsigned depth) {
     consume('{');
     out.kind = JsonValue::Kind::kObject;
     skip_ws();
@@ -298,7 +309,7 @@ class Parser {
       skip_ws();
       if (!consume(':')) return fail("expected ':' in object");
       JsonValue elem;
-      if (Status s = parse_value(elem); !s.is_ok()) return s;
+      if (Status s = parse_value(elem, depth); !s.is_ok()) return s;
       out.object.emplace(std::move(key), std::move(elem));
       skip_ws();
       if (consume('}')) return Status::ok();

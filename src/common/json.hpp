@@ -91,14 +91,16 @@ struct JsonValue {
 
   /// Exact unsigned 64-bit value of an integer literal (doubles round
   /// u64s above 2^53; this does not). Falls back to the double value for
-  /// non-integer literals; 0 for non-numbers.
+  /// non-integer literals; 0 for non-numbers and for numbers outside
+  /// [0, 2^64).
   u64 as_u64() const;
 
   /// Object member lookup; returns nullptr when absent or not an object.
   const JsonValue* find(const std::string& k) const;
 };
 
-/// Parse a complete JSON document (rejects trailing garbage).
+/// Parse a complete JSON document (rejects trailing garbage, and arrays
+/// and objects nested more than 256 deep).
 Result<JsonValue> json_parse(std::string_view text);
 
 }  // namespace audo::json

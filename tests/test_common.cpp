@@ -1,11 +1,20 @@
 // Unit tests for src/common: bit utilities, bit streams, PRNG
-// determinism and the Status/Result types.
+// determinism, the Status/Result types and the JSON reader.
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <filesystem>
+#include <fstream>
+#include <sstream>
+#include <string>
+#include <vector>
 
 #include "common/bits.hpp"
 #include "common/bitstream.hpp"
+#include "common/json.hpp"
 #include "common/prng.hpp"
 #include "common/status.hpp"
+#include "replay/replay.hpp"
 
 namespace audo {
 namespace {
@@ -170,6 +179,116 @@ TEST(Result, ValueAndStatus) {
   EXPECT_FALSE(bad.is_ok());
   EXPECT_EQ(bad.status().code(), StatusCode::kParseError);
   EXPECT_EQ(bad.value_or(-1), -1);
+}
+
+// ---- JSON reader --------------------------------------------------------
+//
+// It reads replay goldens and every campaign-manifest line, so hostile
+// bytes must come back as a status, never as a crash.
+
+std::string repeat(std::string_view unit, usize times) {
+  std::string out;
+  out.reserve(unit.size() * times);
+  for (usize i = 0; i < times; ++i) out += unit;
+  return out;
+}
+
+TEST(Json, RejectsNestingTooDeep) {
+  for (const std::string& doc :
+       {repeat("[", 1'000'000), repeat("{\"a\":", 300'000),
+        repeat("[", 257) + repeat("]", 257)}) {
+    const auto parsed = json::json_parse(doc);
+    ASSERT_FALSE(parsed.is_ok());
+    EXPECT_EQ(parsed.status().code(), StatusCode::kParseError);
+    EXPECT_NE(parsed.status().message().find("nesting too deep"),
+              std::string::npos)
+        << parsed.status().to_string();
+  }
+}
+
+TEST(Json, ParsesNestingWithinTheBound) {
+  const auto arrays =
+      json::json_parse(repeat("[", 64) + "7" + repeat("]", 64));
+  ASSERT_TRUE(arrays.is_ok()) << arrays.status().to_string();
+  const json::JsonValue* v = &arrays.value();
+  for (int level = 0; level < 64; ++level) {
+    ASSERT_TRUE(v->is_array());
+    ASSERT_EQ(v->array.size(), 1u);
+    v = &v->array[0];
+  }
+  EXPECT_EQ(v->as_u64(), 7u);
+
+  const auto objects =
+      json::json_parse(repeat("{\"a\":", 64) + "1" + repeat("}", 64));
+  ASSERT_TRUE(objects.is_ok()) << objects.status().to_string();
+  EXPECT_TRUE(json::json_parse(repeat("[", 256) + repeat("]", 256)).is_ok());
+}
+
+TEST(Json, AsU64ReadsZeroOutsideItsRange) {
+  const auto read = [](std::string_view literal) {
+    const auto parsed = json::json_parse(literal);
+    EXPECT_TRUE(parsed.is_ok()) << literal;
+    return parsed.is_ok() ? parsed.value().as_u64() : ~u64{0};
+  };
+  EXPECT_EQ(read("-1"), 0u);
+  EXPECT_EQ(read("1e30"), 0u);
+  EXPECT_EQ(read("18446744073709551616"), 0u);
+  EXPECT_EQ(read("-1e30"), 0u);
+  EXPECT_EQ(read("18446744073709551615"), 18446744073709551615u);
+  EXPECT_EQ(read("9007199254740993"), 9007199254740993u);  // 2^53 + 1
+  EXPECT_EQ(read("1e3"), 1000u);
+  EXPECT_EQ(read("42.9"), 42u);
+}
+
+// Seeded byte flips and truncations of every committed replay golden.
+// Each mutant must parse or fail with a status, and the replay loader
+// must refuse every document the JSON reader refuses.
+TEST(Json, MutatedReplayGoldensReturnAStatus) {
+  std::vector<std::filesystem::path> goldens;
+  for (const auto& entry :
+       std::filesystem::directory_iterator(AUDO_REPLAYS_DIR)) {
+    if (entry.path().extension() == ".json") goldens.push_back(entry.path());
+  }
+  std::sort(goldens.begin(), goldens.end());
+  ASSERT_GE(goldens.size(), 5u);
+  constexpr unsigned kMutantsPerGolden = 300;
+  Prng rng(0x150A'2023);
+  for (const auto& path : goldens) {
+    SCOPED_TRACE(path.filename().string());
+    std::ifstream in(path, std::ios::binary);
+    std::stringstream buffer;
+    buffer << in.rdbuf();
+    const std::string golden = buffer.str();
+    ASSERT_FALSE(golden.empty());
+    ASSERT_TRUE(replay::ReplaySpec::from_json(golden).is_ok());
+    unsigned parsed = 0;
+    for (unsigned m = 0; m < kMutantsPerGolden; ++m) {
+      std::string mutant = golden;
+      const u64 flips = 1 + rng.next_below(4);
+      for (u64 f = 0; f < flips; ++f) {
+        const usize at = rng.next_below(mutant.size());
+        if (rng.next_below(2) == 0) {
+          mutant[at] = static_cast<char>(mutant[at] ^ (1u << rng.next_below(8)));
+        } else {
+          mutant[at] = static_cast<char>(rng.next_below(256));
+        }
+      }
+      if (rng.next_below(3) == 0) mutant.resize(rng.next_below(mutant.size()));
+      const bool json_ok = json::json_parse(mutant).is_ok();
+      const auto spec = replay::ReplaySpec::from_json(mutant);
+      if (!json_ok) {
+        EXPECT_FALSE(spec.is_ok()) << "mutant " << m;
+      }
+      if (!spec.is_ok()) {
+        EXPECT_FALSE(spec.status().message().empty());
+      }
+      parsed += json_ok ? 1 : 0;
+    }
+    // Both outcomes occur: flips inside string values keep the document
+    // well-formed, flips in its structure do not.
+    EXPECT_GT(parsed, 0u);
+    EXPECT_LT(parsed, kMutantsPerGolden);
+  }
 }
 
 }  // namespace
