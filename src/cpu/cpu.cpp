@@ -447,8 +447,7 @@ bool Cpu::execute(const Fetched& f, Cycle now, mcds::CoreObservation& obs,
                         ready, obs);
         break;
       case DataRoute::kBus:
-        if (in.opcode == kLdA) a_ready_[in.rd] = kFar;
-        else d_ready_[in.rd] = kFar;
+        ready_slot(in) = kFar;
         break;
     }
     return true;

@@ -634,6 +634,14 @@ bool Soc::wake_impossible() const {
   return true;
 }
 
+bool Soc::window_may_complete(const bus::MasterPort& port) const {
+  const bus::BusRequest& req = port.request();
+  return port.slave() == s_fdata_ && req.kind == bus::AccessKind::kRead &&
+         sri_.pending_slave_errors(s_fdata_) == 0 &&
+         !pflash_.array().fault_pending(mem::pflash_offset(req.addr),
+                                        req.bytes);
+}
+
 u64 Soc::run_fast_window(u64 max_cycles, FrameSink* sink) {
   if (config_.exec_tier != SocConfig::ExecTier::kSuperblock) return 0;
   if (max_cycles == 0) return 0;
@@ -646,25 +654,31 @@ u64 Soc::run_fast_window(u64 max_cycles, FrameSink* sink) {
     return 0;
   };
   // Window invariants (see cpu_fast.cpp): nothing outside the TC may act
-  // during the window, and the only bus traffic is the TC's own granted
-  // data transaction, which just counts its service cycles down. The
-  // phase probe times step() phases that don't exist in a window. A
-  // fault injector acts only at its event cycles, which bound the window
-  // below; its bus errors and stuck SFRs act on crossbar completions and
-  // bridge reads, which no window makes.
+  // during the window, and the only bus traffic is the TC's own data
+  // transaction. The phase probe times step() phases that don't exist in
+  // a window. A fault injector acts only at its event cycles, which bound
+  // the window below; its stuck SFRs act on bridge reads, which no window
+  // makes, and its bus errors and ECC records on completions, which a
+  // window runs only where they post no alarm (window_may_complete).
   if (probe_ != nullptr) return gate(FastGate::kInstrumented);
   // The TC's own bus traffic is the common blocker on flash-bound code (a
   // load on the flash data port). A granted transaction alone on the
-  // fabric stays in flight: the window stops one cycle short of its
-  // completion, so the completion and the cycle that consumes it are
+  // fabric stays in flight, and a done one is finished by the core's
+  // first fast cycle. A completion the window may not run ends it the
+  // cycle before, so that completion and the cycle consuming it are
   // stepped. Anything else declines here in O(1), before any scan.
-  unsigned in_flight = 0;
-  if (!tc_->data_port().idle()) {
-    in_flight = sri_.sole_service_left(tc_->data_port());
-    if (in_flight < 2) return bail(cpu::FastBail::kDataBusy);
+  const bus::MasterPort& data = tc_->data_port();
+  unsigned left = 0;  // service cycles left on `data`, completion included
+  bool completes = true;
+  if (data.busy()) {
+    left = sri_.sole_service_left(data);
+    completes = window_may_complete(data);
+    if (left == 0 || (!completes && left < 2)) {
+      return bail(cpu::FastBail::kDataBusy);
+    }
   }
   if (tc_->fetch_on_bus()) return bail(cpu::FastBail::kFrontendBusy);
-  if (!dma_.quiescent() || (in_flight == 0 && !sri_.idle())) {
+  if (!dma_.quiescent() || (left == 0 && !sri_.idle())) {
     return gate(FastGate::kFabricBusy);
   }
   if (irq_router_.raises_pending()) return gate(FastGate::kIrqPending);
@@ -672,14 +686,14 @@ u64 Soc::run_fast_window(u64 max_cycles, FrameSink* sink) {
       (!pcp_->quiescent() || (!pcp_->halted() && pcp_->needs_slow_step()))) {
     return gate(FastGate::kPcpBusy);
   }
-  // With no completion on the fabric (so no error response), the PCP
-  // parked, and trap entries and reads of words with pending ECC records
-  // bailing, no alarm source can fire inside the window, and the bound
-  // below keeps the watchdog short of its deadline. A quiescent monitor
-  // therefore stays an observable no-op for the whole window: per-cycle
-  // step_cycle() — and with it the only in-window writers of
-  // raise/trap/halt state — hoists out of the loop entirely. A
-  // non-quiescent monitor needs the accurate stepper.
+  // With no error response on the fabric, the PCP parked, and trap
+  // entries and reads of words with pending ECC records bailing, no alarm
+  // source can fire inside the window, and the bound below keeps the
+  // watchdog short of its deadline. A quiescent monitor therefore stays
+  // an observable no-op for the whole window: per-cycle step_cycle() —
+  // and with it the only in-window writers of raise/trap/halt state —
+  // hoists out of the loop entirely. A non-quiescent monitor needs the
+  // accurate stepper.
   if (monitor_.enabled() && !monitor_.quiescent()) {
     return gate(FastGate::kMonitorBusy);
   }
@@ -693,17 +707,22 @@ u64 Soc::run_fast_window(u64 max_cycles, FrameSink* sink) {
     if (next <= cycle_ + 1) return gate(FastGate::kActivityNear);
     bound = std::min<u64>(bound, next - cycle_ - 1);
   }
-  if (in_flight != 0) bound = std::min<u64>(bound, in_flight - 1);
+  if (!completes) bound = std::min<u64>(bound, left - 1);
 
   cpu::Cpu::FastWindow fw;
+  // The core issues uncached flash loads only while their completions
+  // post no error response.
+  fw.flash_loads = sri_.pending_slave_errors(s_fdata_) == 0;
   if (!tc_->fast_enter(fw)) return bail(tc_->last_fast_bail());
   ++exec_stats_.windows;
 
-  // Frame parts that are invariant across the window. With no grant, no
-  // completion and no waiting master on the fabric, no DMA, and flash
-  // strobes that only a grant sets, each cycle's publish of these
-  // sections equals what an accurate step() publishes (the same
-  // equivalence skip_idle() is built on).
+  // Frame parts that are invariant across the window, apart from the
+  // fabric and flash sections of a cycle with a grant or a completion,
+  // which the bus phase below publishes from the crossbar's own step.
+  // With no waiting master on the fabric, no DMA, and flash strobes that
+  // only a grant sets, every other cycle's publish of these sections
+  // equals what an accurate step() publishes (the same equivalence
+  // skip_idle() is built on).
   frame_.sri = bus::FabricObservation{};
   frame_.flash = mem::PFlash::Strobes{};
   frame_.dma = mcds::DmaObservation{};
@@ -727,7 +746,11 @@ u64 Soc::run_fast_window(u64 max_cycles, FrameSink* sink) {
   frame_.safety.reset();
   frame_.irq.reset();
 
+  const bool in_flight = left != 0;  // a transaction entered with the core
   u64 ran = 0;
+  u64 served = 0;          // service-only cycles not yet given to the crossbar
+  Cycle bus_step = 0;      // cycle of the window's last crossbar step
+  bool published = false;  // frame_.sri/.flash hold that step's sections
   bool open = true;
   bool stop = false;
   while (ran < bound && !stop) {
@@ -742,6 +765,34 @@ u64 Soc::run_fast_window(u64 max_cycles, FrameSink* sink) {
     }
     cycle_ = now;
     ++ran;
+    // Bus phase, after the core as in step()'s phases 2-3. A cycle with a
+    // grant (the core issued) or a completion runs the flash's and the
+    // crossbar's own step; a service-only cycle is counted and handed to
+    // skip_service before the next step or after the window.
+    if (published) {
+      frame_.sri = bus::FabricObservation{};
+      frame_.flash = mem::PFlash::Strobes{};
+      published = false;
+    }
+    if (!data.idle()) {
+      if (data.waiting_grant() || left == 1) {
+        if (served != 0) {
+          sri_.skip_service(served);
+          served = 0;
+        }
+        pflash_.tick(now);
+        sri_.step(now);
+        assert(!data.waiting_grant() && "a window's grant is immediate");
+        frame_.sri = sri_.observation();
+        frame_.flash = pflash_.strobes();
+        published = true;
+        bus_step = now;
+        left = data.done() ? 0 : sri_.sole_service_left(data);
+      } else {
+        --left;
+        ++served;
+      }
+    }
     attribute_core_stall(*tc_, frame_.tc, tc_stall_totals_);
     if (pcp_ != nullptr) {
       pcp_stall_totals_.cycles[pcp_root] += 1;
@@ -768,9 +819,12 @@ u64 Soc::run_fast_window(u64 max_cycles, FrameSink* sink) {
   if (open) tc_->fast_exit(fw);
   // Bulk-advance everything that didn't run in the window, exactly as
   // skip_idle() does for idle stretches: the window bound guarantees no
-  // peripheral had an activity cycle and no transaction completed inside
-  // it, so skipping moves every counter and deadline as `ran` stepped
-  // cycles would have. An idle fabric has nothing to advance.
+  // peripheral had an activity cycle inside it, so skipping moves every
+  // counter and deadline as `ran` stepped cycles would have. A crossbar
+  // that carried the TC's transaction gets the service cycles since its
+  // last step, which also clears that step's observation as the next
+  // stepped cycle would; a fabric the window never touched has nothing
+  // to advance.
   if (ran != 0) {
     stm_.skip(ran);
     watchdog_.skip(ran);
@@ -778,7 +832,9 @@ u64 Soc::run_fast_window(u64 max_cycles, FrameSink* sink) {
     adc_.skip(ran);
     can_.skip(ran);
     pflash_.skip(ran);
-    if (in_flight != 0) sri_.skip_service(ran);
+    if ((in_flight || bus_step != 0) && bus_step != cycle_) {
+      sri_.skip_service(served);
+    }
     if (pcp_ != nullptr) pcp_->skip(ran);
   }
   exec_stats_.fast_cycles += ran;

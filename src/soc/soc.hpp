@@ -187,12 +187,15 @@ class Soc {
   /// observers and `sink` all fire per cycle). Returns the cycles run —
   /// 0 whenever the machine state doesn't admit a window (wrong tier,
   /// phase probe attached, bus traffic other than the TC's own granted
-  /// data transaction, no superblock at the PC, ...), in which case the
-  /// caller just step()s. A granted TC transaction alone on the fabric
-  /// stays in flight: the window ends the cycle before it completes.
-  /// `sink` may end the window early by returning false. run() calls
-  /// this at the top of its loop; the Emulation Device calls it with its
-  /// MCDS sink.
+  /// or done data transaction, no superblock at the PC, ...), in which
+  /// case the caller just step()s. The window carries the TC's uncached
+  /// flash loads whole: the core issues and consumes them, and the
+  /// window steps the flash and the crossbar for each grant and
+  /// completion and counts the service cycles between. A granted
+  /// transaction of any other kind stays in flight until the cycle
+  /// before it completes, where the window ends. `sink` may end the
+  /// window early by returning false. run() calls this at the top of its
+  /// loop; the Emulation Device calls it with its MCDS sink.
   u64 run_fast_window(u64 max_cycles, FrameSink* sink = nullptr);
 
   /// Invalidate predecoded superblocks overlapping [addr, addr+bytes).
@@ -422,11 +425,17 @@ class Soc {
   void attribute_core_stall(const cpu::Cpu& cpu, mcds::CoreObservation& obs,
                             StallTotals& totals);
 
+  /// Whether a fast window may run the completion of the transaction on
+  /// `port`: a read on the flash data port with no error response armed
+  /// there and no pending ECC record on the bytes it reads, so that the
+  /// completion posts no alarm for the hoisted monitor step to miss.
+  bool window_may_complete(const bus::MasterPort& port) const;
+
   Cycle cycle_ = 0;
   mcds::ObservationFrame frame_;
 
   // Flash slave indices on the SRI (the walk refines stalls on these two
-  // via PFlash::access_class).
+  // via PFlash::access_class; windows complete reads on the data port).
   unsigned s_fcode_ = 0;
   unsigned s_fdata_ = 0;
 
