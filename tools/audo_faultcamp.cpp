@@ -40,8 +40,8 @@
 //                               quiescent stretches (bit-identical, slower)
 //     --exec-tier T             execution engine: 'superblock' (default)
 //                               or 'accurate'. Bit-identical either way;
-//                               runs with a live injector fall back to
-//                               the accurate stepper regardless
+//                               superblock windows stay open under the
+//                               injector, bounded by its event cycles
 //     --cold-boot               disable the warm fork (every run boots
 //                               from reset; bit-identical, slower)
 //     --manifest FILE           journal completed scenarios to FILE (JSONL)
