@@ -155,9 +155,9 @@ class BenchTelemetry {
     soc_ = &ed.soc();
     ed.register_metrics(registry_);
     if (!args_.perfetto_path.empty()) {
-      ed.set_tracer(&tracer_);
+      ed.soc().set_tracer(&tracer_);
     }
-    ed.set_phase_probe(&profiler_.probe());
+    ed.soc().set_phase_probe(&profiler_.probe());
   }
 
   /// Bracket the measured run (host wall-clock window).

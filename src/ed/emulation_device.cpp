@@ -1,7 +1,5 @@
 #include "ed/emulation_device.hpp"
 
-#include <algorithm>
-#include <cmath>
 #include <cstring>
 
 #include "soc/tracer.hpp"
@@ -40,23 +38,44 @@ double EmulationDevice::dap_bytes_per_cycle() const {
 
 void EmulationDevice::step() {
   soc_.step();
+  on_frame(soc_.frame());
+}
+
+u64 EmulationDevice::run(u64 max_cycles) {
+  if (max_cycles == 0 || mcds_.break_requested()) return 0;
+  return soc_.run(max_cycles, this);
+}
+
+bool EmulationDevice::on_frame(const mcds::ObservationFrame& frame) {
   telemetry::PhaseProbe* probe = soc_.phase_probe();
   if (probe != nullptr) probe->begin(telemetry::StepPhase::kMcds);
-  mcds_.observe(soc_.frame());
+  mcds_.observe(frame);
   if (config_.stream_drain) {
     drain_budget_ += dap_bytes_per_cycle();
     if (drain_budget_ >= 1.0) {
       const u64 whole = static_cast<u64>(drain_budget_);
-      const usize moved = emem_.drain(whole);
-      dap_drained_ += moved;
+      dap_drained_ += emem_.drain(whole);
       drain_budget_ -= static_cast<double>(whole);
     }
   }
   if (probe != nullptr) probe->end(telemetry::StepPhase::kMcds);
   if (soc::SocTracer* tracer = soc_.tracer(); tracer != nullptr) {
-    tracer->observe_eec(soc_.cycle(), emem_.occupancy_bytes(),
+    tracer->observe_eec(frame.cycle, emem_.occupancy_bytes(),
                         emem_.total_pushed_messages(),
                         mcds_.dropped_messages());
+  }
+  return !mcds_.break_requested();
+}
+
+u64 EmulationDevice::idle_skip_limit(const mcds::ObservationFrame& idle) {
+  return config_.stream_drain ? 0 : mcds_.idle_skip_limit(idle);
+}
+
+void EmulationDevice::skip_idle(const mcds::ObservationFrame& idle, u64 n) {
+  mcds_.skip_idle(idle, n);
+  if (soc::SocTracer* tracer = soc_.tracer(); tracer != nullptr) {
+    tracer->skip_idle_eec(idle.cycle, idle.cycle + n, emem_.occupancy_bytes(),
+                          emem_.total_pushed_messages());
   }
 }
 
@@ -68,118 +87,24 @@ void EmulationDevice::register_metrics(
   registry.counter("dap", "bytes_drained", &dap_drained_);
 }
 
-// Per-frame EEC work for cycles executed inside a superblock window:
-// exactly what step() does after soc_.step(), minus the phase probe
-// (run_fast_window declines to open a window while a probe is attached).
-// Returning false on an MCDS break request ends the window so run() can
-// pause the device on the very cycle the trigger fired, as in stepped
-// mode.
-struct EmulationDevice::FastFrameSink final : soc::FrameSink {
-  EmulationDevice* ed = nullptr;
-
-  bool on_frame(const mcds::ObservationFrame& frame) override {
-    ed->mcds_.observe(frame);
-    if (ed->config_.stream_drain) {
-      ed->drain_budget_ += ed->dap_bytes_per_cycle();
-      if (ed->drain_budget_ >= 1.0) {
-        const u64 whole = static_cast<u64>(ed->drain_budget_);
-        ed->dap_drained_ += ed->emem_.drain(whole);
-        ed->drain_budget_ -= static_cast<double>(whole);
-      }
-    }
-    if (soc::SocTracer* tracer = ed->soc_.tracer(); tracer != nullptr) {
-      tracer->observe_eec(frame.cycle, ed->emem_.occupancy_bytes(),
-                          ed->emem_.total_pushed_messages(),
-                          ed->mcds_.dropped_messages());
-    }
-    return !ed->mcds_.break_requested();
-  }
-};
-
-u64 EmulationDevice::run(u64 max_cycles) {
-  u64 steps = 0;
-  FastFrameSink sink;
-  sink.ed = this;
-  // Fast-forward applies on the device level too, but the EEC bounds the
-  // windows: skips stop short of periodic syncs and counter samples so
-  // those land in normally observed cycles. Stream-drain mode accumulates
-  // a fractional DAP budget every cycle, which has no O(1) replay — the
-  // device falls back to stepping there.
-  const bool fast_forward =
-      soc_.config().fast_forward && !config_.stream_drain;
-  // A pending MCDS break (OCDS debug halt) pauses the device until the
-  // tool clears it — run() returns immediately, like a hit breakpoint.
-  while (steps < max_cycles && !soc_.tc().halted() &&
-         !mcds_.break_requested()) {
-    // Superblock fast tier: every windowed cycle's frame still reaches
-    // the EEC through the sink, so triggers, counters and the DAP budget
-    // advance exactly as in stepped mode (including stream-drain, whose
-    // fractional budget has no O(1) replay but a per-frame one).
-    steps += soc_.run_fast_window(max_cycles - steps, &sink);
-    if (steps >= max_cycles || soc_.tc().halted() || mcds_.break_requested()) {
-      break;
-    }
-    step();
-    ++steps;
-    if (!fast_forward || steps >= max_cycles) continue;
-    if (!soc_.tc().waiting() || !soc_.quiescent()) continue;
-    const Cycle from = soc_.cycle();
-    soc::WakeSource source = soc::WakeSource::kBudget;
-    const Cycle next = soc_.next_activity_cycle(&source);
-    if (next <= from + 1) continue;
-    u64 n = next - from - 1;
-    if (n >= max_cycles - steps) {
-      n = max_cycles - steps;
-      source = soc::WakeSource::kBudget;
-    }
-    // The frame a parked product chip publishes on every idle cycle
-    // (cores parked with kWfi/kHalted symptom and root, nothing else).
-    const mcds::ObservationFrame idle = soc_.make_idle_frame();
-    if (const u64 mcds_limit = mcds_.idle_skip_limit(idle); mcds_limit < n) {
-      n = mcds_limit;
-      source = soc::WakeSource::kMcds;
-    }
-    if (n == 0) continue;
-    soc_.skip_idle(n, source);
-    mcds_.skip_idle(idle, n);
-    if (soc::SocTracer* tracer = soc_.tracer(); tracer != nullptr) {
-      tracer->skip_idle_eec(from, from + n, emem_.occupancy_bytes(),
-                            emem_.total_pushed_messages());
-    }
-    steps += n;
-  }
-  return steps;
-}
-
-u32 EmulationDevice::tool_read32(Addr addr) {
+u32 EmulationDevice::tool_access(bus::AccessKind kind, Addr addr, u32 wdata) {
   bus::BusRequest req;
   req.master = bus::MasterId::kCerberus;
   req.addr = addr;
-  req.kind = bus::AccessKind::kRead;
+  req.kind = kind;
   req.bytes = 4;
-  if (!soc_.sri().issue(cerberus_port_, req, soc_.cycle())) {
-    return 0;
-  }
-  while (!cerberus_port_.done()) {
-    step();
-  }
+  req.wdata = wdata;
+  if (!soc_.sri().issue(cerberus_port_, req, soc_.cycle())) return 0;
+  while (!cerberus_port_.done()) step();
   return cerberus_port_.take_rdata();
 }
 
+u32 EmulationDevice::tool_read32(Addr addr) {
+  return tool_access(bus::AccessKind::kRead, addr, 0);
+}
+
 void EmulationDevice::tool_write32(Addr addr, u32 value) {
-  bus::BusRequest req;
-  req.master = bus::MasterId::kCerberus;
-  req.addr = addr;
-  req.kind = bus::AccessKind::kWrite;
-  req.bytes = 4;
-  req.wdata = value;
-  if (!soc_.sri().issue(cerberus_port_, req, soc_.cycle())) {
-    return;
-  }
-  while (!cerberus_port_.done()) {
-    step();
-  }
-  cerberus_port_.take_rdata();
+  tool_access(bus::AccessKind::kWrite, addr, value);
 }
 
 Result<std::vector<mcds::TraceMessage>> EmulationDevice::download_trace() {

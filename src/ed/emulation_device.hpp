@@ -3,9 +3,10 @@
 // master behind the JTAG/DAP port (Figure 4).
 //
 // Two properties of the real ED are preserved structurally:
-//  * the product chip part is *unchanged*: this class owns a Soc and
-//    never modifies its behaviour — MCDS observation is read-only, and
-//    turning the whole EEC off yields cycle-identical runs (test E10);
+//  * the product chip part is *unchanged*: this class owns a Soc, runs
+//    it through the Soc's own run loop and never modifies its behaviour
+//    — the EEC is that loop's frame sink, MCDS observation is read-only,
+//    and turning the whole EEC off yields cycle-identical runs (test E10);
 //  * the tool interface has finite bandwidth that does not scale with
 //    CPU frequency (§5): the DAP drain budget is configured in bits/s
 //    and converted to bytes per CPU cycle.
@@ -30,7 +31,7 @@ struct EdConfig {
   bool stream_drain = false;
 };
 
-class EmulationDevice {
+class EmulationDevice : private soc::FrameSink {
  public:
   EmulationDevice(const soc::SocConfig& soc_config, mcds::McdsConfig mcds_config,
                   EdConfig ed_config);
@@ -48,7 +49,12 @@ class EmulationDevice {
   /// One clock cycle: product chip, then EEC observation, then DAP drain.
   void step();
 
-  /// Run until the TC halts or `max_cycles` elapse; returns cycles run.
+  /// Run until the TC halts, an MCDS break fires, the product chip
+  /// reports an idle deadlock or `max_cycles` elapse; returns cycles run.
+  /// This is soc::Soc::run with the EEC as its sink, so the budget is
+  /// capped alike, except that 0 runs nothing. A break pending at entry
+  /// (OCDS debug halt) pauses the device until the tool clears it: run()
+  /// returns 0, like a hit breakpoint.
   u64 run(u64 max_cycles);
 
   /// Bytes the DAP can move per CPU cycle (may be < 1).
@@ -84,23 +90,24 @@ class EmulationDevice {
   // ---- host telemetry ------------------------------------------------
 
   /// Register the product chip's components plus the EEC side ("mcds",
-  /// "emem", "dap"). Call once, after construction.
+  /// "emem", "dap"). Call once, after construction. A tracer or phase
+  /// probe attached to soc() sees the EEC side too: the tracer gets the
+  /// EMEM fill level and trace drops each cycle, and the probe times the
+  /// EEC observation as its own phase (kMcds).
   void register_metrics(telemetry::MetricsRegistry& registry) const;
 
-  /// Attach a timeline tracer to the product chip *and* feed it the
-  /// EEC side (EMEM fill level, trace drops) each cycle.
-  void set_tracer(soc::SocTracer* tracer) { soc_.set_tracer(tracer); }
-
-  /// Attach a host phase profiler; the EEC observation path is timed as
-  /// its own phase (kMcds) on top of the product-chip phases.
-  void set_phase_probe(telemetry::PhaseProbe* probe) {
-    soc_.set_phase_probe(probe);
-  }
-
  private:
-  /// Adapter feeding superblock-window frames through the same EEC path
-  /// step() takes (MCDS observe, DAP drain, tracer); defined in the .cpp.
-  struct FastFrameSink;
+  // soc::FrameSink: the EEC's work on every cycle the product chip runs.
+  /// MCDS observe, DAP drain and the tracer's EEC track; false on a break.
+  bool on_frame(const mcds::ObservationFrame& frame) override;
+  /// The MCDS bound; 0 under stream drain, whose fractional DAP budget
+  /// has no O(1) replay.
+  u64 idle_skip_limit(const mcds::ObservationFrame& idle) override;
+  void skip_idle(const mcds::ObservationFrame& idle, u64 n) override;
+
+  /// Issue a tool access on the Cerberus port and step the device until
+  /// it completes; returns the read data (0 if the fabric refused it).
+  u32 tool_access(bus::AccessKind kind, Addr addr, u32 wdata);
 
   soc::Soc soc_;
   mcds::Mcds mcds_;

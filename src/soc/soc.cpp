@@ -799,7 +799,10 @@ u64 Soc::run_fast_window(u64 max_cycles, FrameSink* sink) {
     }
     if (tracer_ != nullptr) tracer_->observe(frame_);
     for (FrameObserver* obs : observers_) obs->observe(frame_);
-    if (sink != nullptr && !sink->on_frame(frame_)) stop = true;
+    if (sink != nullptr && !sink->on_frame(frame_)) {
+      stop = true;
+      sink_stopped_ = true;
+    }
     if (fw.left_chunk) {
       // A taken control transfer left the chunk with a clean front end:
       // re-open on the target's chunk and keep going.
@@ -841,18 +844,22 @@ u64 Soc::run_fast_window(u64 max_cycles, FrameSink* sink) {
   return ran;
 }
 
-u64 Soc::run(u64 max_cycles) {
+u64 Soc::run(u64 max_cycles, FrameSink* sink) {
   const u64 budget =
       max_cycles == 0 ? kDefaultRunBudget : std::min(max_cycles, kDefaultRunBudget);
   idle_deadlock_ = false;
+  sink_stopped_ = false;
   u64 steps = 0;
   while (steps < budget && !tc_->halted()) {
     // Superblock fast tier: burn through straight-line execution before
     // falling back to the accurate stepper for the next cycle.
-    steps += run_fast_window(budget - steps);
-    if (steps >= budget || tc_->halted()) break;
+    steps += run_fast_window(budget - steps, sink);
+    if (steps >= budget || tc_->halted() || sink_stopped_) break;
     step();
     ++steps;
+    // The sink sees the stepped cycle before any idle handling, so a veto
+    // on the cycle the TC parks ends the run on that cycle.
+    if (sink != nullptr && !sink->on_frame(frame_)) break;
     // Idle handling. The waiting() check keeps the dense-execution path to
     // one predicted branch; quiescent() then confirms that every pipeline,
     // port and DMA unit has actually drained.
@@ -876,7 +883,20 @@ u64 Soc::run(u64 max_cycles) {
       idle = budget - steps;
       source = WakeSource::kBudget;
     }
-    skip_idle(idle, source);
+    if (sink == nullptr) {
+      skip_idle(idle, source);
+    } else {
+      // The sink's own schedule (periodic syncs, counter samples) lands
+      // in stepped cycles too.
+      const mcds::ObservationFrame frame = make_idle_frame();
+      if (const u64 limit = sink->idle_skip_limit(frame); limit < idle) {
+        idle = limit;
+        source = WakeSource::kMcds;
+      }
+      if (idle == 0) continue;
+      skip_idle(idle, source);
+      sink->skip_idle(frame, idle);
+    }
     steps += idle;
   }
   return steps;

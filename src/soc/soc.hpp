@@ -55,15 +55,29 @@ class FrameObserver {
   virtual void skip_idle(const mcds::ObservationFrame& idle, u64 n) = 0;
 };
 
-/// Per-cycle frame consumer for fast-window cycles with veto power: the
-/// Emulation Device feeds its MCDS from here. Returning false ends the
-/// window after the current cycle (trigger fired, drain budget reached);
-/// the cycle itself is already fully published. Plain observers can't
-/// stop a window, which is why this is a separate interface.
+/// The consumer a run() drives, with veto power: the Emulation Device's
+/// EEC. It sees every cycle of the run — stepped, run in a fast window or
+/// skipped idle — after the Soc's own observers. Plain observers can't
+/// stop a run, which is why this is a separate interface.
 class FrameSink {
  public:
   virtual ~FrameSink() = default;
+  /// One stepped or windowed cycle, already fully published. Returning
+  /// false (a trigger fired) ends the run after this cycle.
   virtual bool on_frame(const mcds::ObservationFrame& frame) = 0;
+  /// How many repetitions of `idle` (the cycle already seen carries
+  /// `idle.cycle`) the sink can absorb through skip_idle(). 0, the
+  /// default, has every idle cycle stepped.
+  virtual u64 idle_skip_limit(const mcds::ObservationFrame& idle) {
+    (void)idle;
+    return 0;
+  }
+  /// `n` skipped idle cycles, each equivalent to seeing `idle`; `n` is
+  /// within idle_skip_limit().
+  virtual void skip_idle(const mcds::ObservationFrame& idle, u64 n) {
+    (void)idle;
+    (void)n;
+  }
 };
 
 /// Cumulative per-core stall-attribution buckets (one counter per
@@ -177,8 +191,11 @@ class Soc {
   /// SocConfig::fast_forward (the default) idle stretches are jumped in
   /// O(1) — bit-identical to stepping them — and a WFI park with no
   /// enabled wake source returns immediately with idle_deadlock() set
-  /// (in both modes) instead of burning the budget.
-  u64 run(u64 max_cycles = 0);
+  /// (in both modes) instead of burning the budget. This is the one run
+  /// loop: `sink`, if given, sees every cycle after the observers, ends
+  /// the run by vetoing a frame, and bounds each idle skip by its
+  /// idle_skip_limit() (WakeSource::kMcds when that binds).
+  u64 run(u64 max_cycles = 0, FrameSink* sink = nullptr);
 
   // ---- superblock fast tier (DESIGN.md, "Execution tiers") -----------
 
@@ -195,7 +212,8 @@ class Soc {
   /// transaction of any other kind stays in flight until the cycle
   /// before it completes, where the window ends. `sink` may end the
   /// window early by returning false. run() calls this at the top of its
-  /// loop; the Emulation Device calls it with its MCDS sink.
+  /// loop with its own sink, and ends the run when that sink ended the
+  /// window.
   u64 run_fast_window(u64 max_cycles, FrameSink* sink = nullptr);
 
   /// Invalidate predecoded superblocks overlapping [addr, addr+bytes).
@@ -358,7 +376,7 @@ class Soc {
 
   /// The observation frame a skipped idle cycle is equivalent to: cores
   /// parked (kWfi/kHalted, attributed likewise), empty fabric, no
-  /// strobes. Used by the fast-forward paths (EmulationDevice, frame
+  /// strobes. Used by the fast-forward paths (run()'s sink, frame
   /// observers) so idle windows feed triggers/counters bit-identically.
   mcds::ObservationFrame make_idle_frame() const;
 
@@ -445,6 +463,7 @@ class Soc {
   FastForwardStats ff_stats_;
   ExecTierStats exec_stats_;
   bool idle_deadlock_ = false;
+  bool sink_stopped_ = false;  // a window's sink vetoed; run() clears it
 
   SocTracer* tracer_ = nullptr;
   std::vector<FrameObserver*> observers_;

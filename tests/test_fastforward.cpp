@@ -166,8 +166,9 @@ TEST(FastForward, BudgetTruncationBitIdentical) {
 
 // ---- MCDS / profiling bit identity ----------------------------------
 
-profiling::SessionResult profile_idle_engine(bool fast_forward,
-                                             bool program_trace) {
+profiling::SessionResult profile_idle_engine(
+    bool fast_forward, bool program_trace,
+    soc::FastForwardStats* ff_out = nullptr) {
   workload::EngineOptions opt;
   opt.crank_time_scale = 100;
   opt.rpm = 3000;
@@ -186,7 +187,9 @@ profiling::SessionResult profile_idle_engine(bool fast_forward,
   EXPECT_TRUE(session.load(w.value().program).is_ok());
   workload::configure_engine(session.device().soc(), w.value().options);
   session.reset(w.value().tc_entry, w.value().pcp_entry);
-  return session.run(3'000'000);
+  profiling::SessionResult result = session.run(3'000'000);
+  if (ff_out != nullptr) *ff_out = session.device().soc().ff_stats();
+  return result;
 }
 
 void expect_sessions_identical(const profiling::SessionResult& on,
@@ -205,10 +208,14 @@ void expect_sessions_identical(const profiling::SessionResult& on,
 }
 
 TEST(FastForward, McdsCountersBitIdentical) {
-  const auto on = profile_idle_engine(true, false);
+  soc::FastForwardStats ff;
+  const auto on = profile_idle_engine(true, false, &ff);
   const auto off = profile_idle_engine(false, false);
   EXPECT_GT(on.trace_messages, 0u);
   expect_sessions_identical(on, off);
+  // Counter samples bound skips: those wakeups belong to the EEC.
+  EXPECT_GT(ff.wake_counts[static_cast<unsigned>(soc::WakeSource::kMcds)],
+            0u);
 }
 
 TEST(FastForward, McdsFlowTraceBitIdentical) {

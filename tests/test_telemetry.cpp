@@ -227,7 +227,7 @@ TEST(SocTracer, EngineRunExportsBalancedNestedSpans) {
   ed.reset(w.tc_entry, w.pcp_entry);
 
   soc::SocTracer tracer;
-  ed.set_tracer(&tracer);
+  ed.soc().set_tracer(&tracer);
   ed.run(200'000);
   tracer.finish(ed.soc().cycle());
 

@@ -325,8 +325,8 @@ int main(int argc, char** argv) {
   const bool telemetry_on = report_path != nullptr || perfetto_path != nullptr;
   if (telemetry_on) {
     session.device().register_metrics(registry);
-    if (perfetto_path != nullptr) session.device().set_tracer(&tracer);
-    session.device().set_phase_probe(&host.probe());
+    if (perfetto_path != nullptr) session.device().soc().set_tracer(&tracer);
+    session.device().soc().set_phase_probe(&host.probe());
     host.start(session.device().soc().cycle());
   }
 
