@@ -334,7 +334,9 @@ TEST(ReplayOracle, MutationCaughtAtIndependentlyVerifiedCycle) {
       saw_match_before = true;
       EXPECT_TRUE(row.match) << "cycle " << row.cycle;
     }
-    if (row.cycle == r.divergence.cycle) EXPECT_FALSE(row.match);
+    if (row.cycle == r.divergence.cycle) {
+      EXPECT_FALSE(row.match);
+    }
   }
   EXPECT_TRUE(saw_match_before);
 }
