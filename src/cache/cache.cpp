@@ -45,15 +45,30 @@ bool Cache::access(Addr addr) {
   return false;
 }
 
+int Cache::way_of(u32 set, u32 tag) const {
+  for (unsigned w = 0; w < config_.ways; ++w) {
+    const Way& way = ways_[static_cast<usize>(set) * config_.ways + w];
+    if (way.valid && way.tag == tag) return static_cast<int>(w);
+  }
+  return -1;
+}
+
 bool Cache::probe(Addr addr) const {
+  if (!config_.enabled) return false;
+  return way_of(set_of(addr), tag_of(addr)) >= 0;
+}
+
+bool Cache::probe_after_fill(Addr addr, Addr filled) const {
   if (!config_.enabled) return false;
   const u32 set = set_of(addr);
   const u32 tag = tag_of(addr);
-  for (unsigned w = 0; w < config_.ways; ++w) {
-    const Way& way = ways_[static_cast<usize>(set) * config_.ways + w];
-    if (way.valid && way.tag == tag) return true;
-  }
-  return false;
+  if (set != set_of(filled)) return way_of(set, tag) >= 0;
+  if (tag == tag_of(filled)) return true;
+  const int way = way_of(set, tag);
+  if (way < 0) return false;
+  // fill() replaces a way only when `filled`'s line is absent.
+  return way_of(set, tag_of(filled)) >= 0 ||
+         victim(set) != static_cast<unsigned>(way);
 }
 
 bool Cache::fill(Addr addr) {
@@ -61,17 +76,20 @@ bool Cache::fill(Addr addr) {
   const u32 set = set_of(addr);
   const u32 tag = tag_of(addr);
   // Already present (e.g. two misses to the same line in flight).
-  for (unsigned w = 0; w < config_.ways; ++w) {
-    Way& way = ways_[static_cast<usize>(set) * config_.ways + w];
-    if (way.valid && way.tag == tag) return false;
-  }
-  const unsigned victim = pick_victim(set);
-  Way& way = ways_[static_cast<usize>(set) * config_.ways + victim];
+  if (way_of(set, tag) >= 0) return false;
+  const unsigned w = victim(set);
+  Way& way = ways_[static_cast<usize>(set) * config_.ways + w];
   const bool evicted = way.valid;
-  if (evicted) ++stats_.evictions;
+  if (evicted) {
+    ++stats_.evictions;
+    // Round robin moves on past each way it replaced.
+    if (config_.replacement == Replacement::kRoundRobin) {
+      rr_next_[set] = (w + 1) % config_.ways;
+    }
+  }
   way.valid = true;
   way.tag = tag;
-  touch(set, victim);
+  touch(set, w);
   return evicted;
 }
 
@@ -81,23 +99,23 @@ void Cache::invalidate_all() {
   std::fill(rr_next_.begin(), rr_next_.end(), 0u);
 }
 
-unsigned Cache::pick_victim(u32 set) {
+unsigned Cache::victim(u32 set) const {
   // Invalid ways first, regardless of policy.
   for (unsigned w = 0; w < config_.ways; ++w) {
     if (!ways_[static_cast<usize>(set) * config_.ways + w].valid) return w;
   }
   switch (config_.replacement) {
     case Replacement::kLru: {
-      unsigned victim = 0;
+      unsigned lru = 0;
       u64 oldest = ~u64{0};
       for (unsigned w = 0; w < config_.ways; ++w) {
         const Way& way = ways_[static_cast<usize>(set) * config_.ways + w];
         if (way.lru_stamp < oldest) {
           oldest = way.lru_stamp;
-          victim = w;
+          lru = w;
         }
       }
-      return victim;
+      return lru;
     }
     case Replacement::kPlruTree: {
       // Walk the tree following the *cold* direction.
@@ -113,11 +131,8 @@ unsigned Cache::pick_victim(u32 set) {
       }
       return w;
     }
-    case Replacement::kRoundRobin: {
-      const unsigned w = rr_next_[set];
-      rr_next_[set] = (w + 1) % config_.ways;
-      return w;
-    }
+    case Replacement::kRoundRobin:
+      return rr_next_[set];
   }
   return 0;
 }

@@ -63,6 +63,11 @@ class Cache {
   /// Probe without updating any state (for tests and the profiler).
   bool probe(Addr addr) const;
 
+  /// What probe(addr) would answer after fill(filled), without filling:
+  /// a hit when `addr` lies in `filled`'s line, or when probe(addr) hits
+  /// and the fill would not evict that way. No state changes.
+  bool probe_after_fill(Addr addr, Addr filled) const;
+
   /// Allocate the line containing `addr` (after the refill fetch
   /// completed). Returns true if a valid line was evicted.
   bool fill(Addr addr);
@@ -120,7 +125,11 @@ class Cache {
     return audo::bits(addr, offset_bits_, index_bits_ == 0 ? 1 : index_bits_) &
            (config_.num_sets() - 1);
   }
-  unsigned pick_victim(u32 set);
+  /// Way holding `tag` in `set`, or -1.
+  int way_of(u32 set, u32 tag) const;
+  /// The way fill() replaces in `set`: an invalid way first, else the
+  /// policy's choice. fill() alone advances the round-robin pointer.
+  unsigned victim(u32 set) const;
   void touch(u32 set, unsigned way);
 
   CacheConfig config_;

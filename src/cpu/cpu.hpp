@@ -61,8 +61,7 @@ enum class FastBail : u8 {
   kCoreState,      // wfi, halted, pending trap or acceptable interrupt
   kDataBusy,       // data transaction waiting for its grant, sharing
                    // the fabric, or completing next cycle where a window
-                   // may not complete it; fetch port busy; or a finished
-                   // D-cache refill to consume
+                   // may not complete it; or fetch port busy
   kNoBlock,        // no superblock covers next_pc (or it is empty)
   kCodeRoute,      // pspr without scratchpad / flash without I-cache
   kStaleCode,      // code word changed under the predecode (SMC) or
@@ -70,10 +69,11 @@ enum class FastBail : u8 {
   kChunkTail,      // fetch or delivery would run past the chunk end
   kFallOff,        // sequential execution left the chunk
   kUnsupportedOp,  // SYS op other than NOP, which only step() executes
-  kDataRoute,      // data access needs the bus other than an uncached
-                   // flash load, or misses the D-cache; an uncached
-                   // flash load with an error response armed; or a load
-                   // over a pending ECC fault record
+  kDataRoute,      // data access needs the bus other than a load from
+                   // the flash (uncached, or a D-cache miss) or the LMU:
+                   // a store, an SFR or DFlash read; a flash or LMU load
+                   // with an error response armed on its slave; or a
+                   // load over a pending ECC fault record
   kIcacheMiss,     // code fetch would refill over the bus
   kCount,
 };
@@ -103,6 +103,9 @@ class Cpu {
     /// Backing flash array for cache-hit reads (tag-only caches).
     mem::MemArray* flash = nullptr;
     u32 flash_size = 0;
+    /// The LMU (TC only): its range and array let a fast window issue
+    /// loads from it.
+    const mem::SramSlave* lmu = nullptr;
     IrqSource* irq = nullptr;
     /// Superblock cache for the fast execution tier (see
     /// isa/superblock.hpp). Null disables fast_enter().
@@ -141,20 +144,23 @@ class Cpu {
     /// the caller may immediately re-enter on the target's chunk.
     bool left_chunk = false;
     /// Set by the caller, which steps the fabric for the window: loads
-    /// through the uncached flash alias may issue, because the flash data
-    /// port has no error response armed. Off, they bail.
+    /// that read the flash data port (uncached loads and D-cache
+    /// refills) may issue, because that port has no error response
+    /// armed. Off, they bail.
     bool flash_loads = false;
+    /// Likewise for loads from the LMU, on the LMU slave.
+    bool lmu_loads = false;
   };
 
   /// Try to open a fast window at the current PC. The core needs no fetch
   /// on the bus and nothing pending. A load or store may be in flight
   /// once its port is granted, or done: the window finishes it as step()
-  /// does. The caller runs the fabric around the window's cycles
-  /// (Soc::run_fast_window steps the crossbar for grants and completions
-  /// and ends the window before any completion it may not run). One
-  /// waiting for its grant, or a done D-cache refill, declines. The local
-  /// front end may be live: the queued instructions are adopted as the
-  /// virtual queue when they are consecutive ops of the superblock at
+  /// does, a D-cache refill's fill included. The caller runs the fabric
+  /// around the window's cycles (Soc::run_fast_window steps the crossbar
+  /// for grants and completions and ends the window before any
+  /// completion it may not run). One waiting for its grant declines. The
+  /// local front end may be live: the queued instructions are adopted as
+  /// the virtual queue when they are consecutive ops of the superblock at
   /// next_pc() and equal its predecoded Instrs, and a local fetch that
   /// continues them stays in flight. Returns false when any condition
   /// fails or no superblock covers next_pc().
@@ -325,9 +331,6 @@ class Cpu {
   /// bus or drop the write), and into the data-trace strobes.
   void commit_store(const isa::Instr& in, Addr addr, bool local,
                     mcds::CoreObservation& obs);
-  /// The data port holds a completed D-cache refill: finishing it fills
-  /// the cache.
-  bool refill_done() const;
   /// Scoreboard entry of load `in`'s destination register.
   Cycle& ready_slot(const isa::Instr& in) {
     return in.opcode == isa::Opcode::kLdA ? a_ready_[in.rd] : d_ready_[in.rd];

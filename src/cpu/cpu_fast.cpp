@@ -7,8 +7,8 @@
 //                      in-flight fetch, the issue group, the data route,
 //                      the next fetch) touching no state. Any condition
 //                      the fast model cannot represent — unsupported op,
-//                      cache miss, a bus route other than an uncached
-//                      flash load, stale code word — returns false with
+//                      I-cache miss, a bus route other than a flash or
+//                      LMU load, stale code word — returns false with
 //                      the machine untouched, and the caller replays the
 //                      cycle with step().
 //   phase B (commit) — apply the plan through the code the accurate
@@ -24,13 +24,18 @@
 // ECC fault record. The owning Soc guarantees the outside invariants
 // before opening a window, bounds it by the next peripheral or
 // fault-injector activity cycle, and steps the crossbar and flash for
-// the transaction's grant and completion. The plan admits one bus route:
-// a load through the uncached flash alias, when the Soc found no error
-// response armed on the flash data port (FastWindow::flash_loads) and
-// the bytes carry no ECC record, so its completion posts no alarm. While
-// a transaction is in flight it holds the LS port (every non-scratchpad
+// the transaction's grant and completion. The plan admits the TC's
+// latency-only reads as bus routes: a load through the uncached flash
+// alias, a cached-flash load that misses the D-cache (its refill), and
+// an LMU load. Each issues only when the Soc found no error response
+// armed on its slave (FastWindow::flash_loads, ::lmu_loads) and its
+// bytes carry no ECC record, so its completion posts no alarm. While a
+// transaction is in flight it holds the LS port (every non-scratchpad
 // access waits, as kLsPortBusy) and, for a load, its destination at
 // kFar, which the plan reads as the accurate stepper's load-use hazards.
+// The cycle that finishes a refill fills its line before the issue
+// group, as step() does, so the plan probes the D-cache as it will be
+// after that fill.
 #include <cassert>
 
 #include "cpu/cpu.hpp"
@@ -65,12 +70,6 @@ const char* to_string(FastBail bail) {
 // --------------------------------------------------------------------------
 // Window entry / exit.
 
-bool Cpu::refill_done() const {
-  return data_port_.done() && load_pending_ && env_.dcache != nullptr &&
-         env_.dcache->config().enabled &&
-         addr_in_cached_flash(data_port_.request().addr);
-}
-
 bool Cpu::needs_slow_step() const {
   if (halted_ || trap_pending_) return true;
   if (env_.irq != nullptr) {
@@ -92,9 +91,8 @@ bool Cpu::fast_enter(FastWindow& fw) {
   if (wfi_ || needs_slow_step()) return bail(FastBail::kCoreState);
   // A granted load or store may stay in flight, and a completed one is
   // finished by the first fast cycle. One still waiting for its grant
-  // needs the stepper, and so does a completed D-cache refill, whose fill
-  // fast_cycle would bail on.
-  if (!fetch_port_.idle() || data_port_.waiting_grant() || refill_done()) {
+  // needs the stepper.
+  if (!fetch_port_.idle() || data_port_.waiting_grant()) {
     return bail(FastBail::kDataBusy);
   }
   const isa::Superblock* blk = env_.superblocks->lookup(next_pc_);
@@ -179,9 +177,8 @@ bool Cpu::fast_cycle(FastWindow& fw, Cycle now, mcds::CoreObservation& obs) {
   // step() does: the LS port frees and a load's destination becomes
   // usable at now + 1. The plan reads that destination through the
   // scoreboard, so its entry is set here, the one write before the
-  // commit, and put back on a bail. A D-cache refill also fills the
-  // cache, which later probes in this cycle would see: the stepper
-  // finishes it.
+  // commit, and put back on a bail. A load from the cached flash alias
+  // was a D-cache refill, whose fill the D-cache probes below see.
   const bool finishing = data_port_.done();
   struct ScoreboardPatch {
     Cycle* slot = nullptr;
@@ -190,13 +187,14 @@ bool Cpu::fast_cycle(FastWindow& fw, Cycle now, mcds::CoreObservation& obs) {
       if (slot != nullptr) *slot = saved;
     }
   } patch;
-  if (finishing) {
-    if (refill_done()) return bail(FastBail::kDataBusy);
-    if (load_pending_) {
-      patch.slot = &ready_slot(pending_load_instr_);
-      patch.saved = *patch.slot;
-      *patch.slot = now + 1;
-    }
+  bool refilling = false;
+  Addr refill = 0;
+  if (finishing && load_pending_) {
+    patch.slot = &ready_slot(pending_load_instr_);
+    patch.saved = *patch.slot;
+    *patch.slot = now + 1;
+    refill = data_port_.request().addr;
+    refilling = addr_in_cached_flash(refill);
   }
   const bool port_free = data_port_.idle() || finishing;
 
@@ -302,20 +300,21 @@ bool Cpu::fast_cycle(FastWindow& fw, Cycle now, mcds::CoreObservation& obs) {
         // stall, and later in a group the op just ends it.
         if (plan == 0) stall = StallCause::kLsPortBusy;
         break;
-      } else if (!load || env_.flash == nullptr ||
-                 !mem::is_pflash(addr, env_.flash_size)) {
-        return bail(FastBail::kDataRoute);  // store or load over the bus
-      } else {
-        if (addr_in_cached_flash(addr)) {
-          // A D-cache miss refills over the bus: accurate path only.
-          if (env_.dcache == nullptr || !env_.dcache->config().enabled ||
-              !env_.dcache->probe(addr)) {
-            return bail(FastBail::kDataRoute);
-          }
-        } else {
-          // Uncached flash: a read-buffer hit completes in its grant
-          // cycle, so the checks that its completion posts no alarm run
-          // here.
+      } else if (!load) {
+        return bail(FastBail::kDataRoute);  // a store over the bus
+      } else if (env_.flash != nullptr &&
+                 mem::is_pflash(addr, env_.flash_size)) {
+        // A D-cache hit reads the array at issue. Any other flash load
+        // reads it on the data port: an uncached load, or a D-cache miss
+        // whose refill fills the line when it finishes. A read-buffer hit
+        // completes in its grant cycle, so the checks that a completion
+        // posts no alarm run here, for hits and misses alike.
+        const bool hit =
+            env_.dcache != nullptr && env_.dcache->config().enabled &&
+            addr_in_cached_flash(addr) &&
+            (refilling ? env_.dcache->probe_after_fill(addr, refill)
+                       : env_.dcache->probe(addr));
+        if (!hit) {
           if (!fw.flash_loads || env_.bus == nullptr) {
             return bail(FastBail::kDataRoute);
           }
@@ -323,6 +322,16 @@ bool Cpu::fast_cycle(FastWindow& fw, Cycle now, mcds::CoreObservation& obs) {
           bus_dest = op.regs.dest;
         }
         ecc = env_.flash->fault_pending(mem::pflash_offset(addr), bytes);
+      } else if (fw.lmu_loads && env_.lmu != nullptr &&
+                 addr - env_.lmu->base() < env_.lmu->array().size()) {
+        // An LMU load has a fixed latency and, with no error armed on
+        // the LMU slave, completes like an uncached flash load.
+        bus_load = true;
+        bus_dest = op.regs.dest;
+        ecc = env_.lmu->array().fault_pending(addr - env_.lmu->base(), bytes);
+      } else {
+        // An SFR or DFlash read, or an LMU load with an error armed.
+        return bail(FastBail::kDataRoute);
       }
       if (ecc) return bail(FastBail::kDataRoute);
     }

@@ -93,7 +93,7 @@ Soc::Soc(const SocConfig& config)
   const unsigned s_fcode = s_fcode_ = sri_.add_slave(&pflash_.code_port());
   const unsigned s_fdata = s_fdata_ = sri_.add_slave(&pflash_.data_port());
   const unsigned s_dflash = sri_.add_slave(&dflash_);
-  const unsigned s_lmu = sri_.add_slave(&lmu_);
+  const unsigned s_lmu = s_lmu_ = sri_.add_slave(&lmu_);
   const unsigned s_bridge = sri_.add_slave(&bridge_);
   const unsigned s_dspr = sri_.add_slave(&dspr_slave_);
   const unsigned s_pspr = sri_.add_slave(&pspr_slave_);
@@ -138,6 +138,7 @@ Soc::Soc(const SocConfig& config)
   tc_env.dcache = &dcache_;
   tc_env.flash = &pflash_.array();
   tc_env.flash_size = config.pflash.size;
+  tc_env.lmu = &lmu_;
   tc_env.irq = &irq_router_.tc_view();
   // Fast-tier superblock regions: the code scratchpad and the cached
   // flash alias (uncached flash execution never enters a fast window).
@@ -636,10 +637,16 @@ bool Soc::wake_impossible() const {
 
 bool Soc::window_may_complete(const bus::MasterPort& port) const {
   const bus::BusRequest& req = port.request();
-  return port.slave() == s_fdata_ && req.kind == bus::AccessKind::kRead &&
-         sri_.pending_slave_errors(s_fdata_) == 0 &&
-         !pflash_.array().fault_pending(mem::pflash_offset(req.addr),
-                                        req.bytes);
+  const unsigned s = port.slave();
+  if (req.kind != bus::AccessKind::kRead || sri_.pending_slave_errors(s) != 0) {
+    return false;
+  }
+  if (s == s_fdata_) {
+    return !pflash_.array().fault_pending(mem::pflash_offset(req.addr),
+                                          req.bytes);
+  }
+  return s == s_lmu_ &&
+         !lmu_.array().fault_pending(req.addr - lmu_.base(), req.bytes);
 }
 
 u64 Soc::run_fast_window(u64 max_cycles, FrameSink* sink) {
@@ -710,9 +717,10 @@ u64 Soc::run_fast_window(u64 max_cycles, FrameSink* sink) {
   if (!completes) bound = std::min<u64>(bound, left - 1);
 
   cpu::Cpu::FastWindow fw;
-  // The core issues uncached flash loads only while their completions
-  // post no error response.
+  // The core issues flash data-port and LMU loads only while their
+  // completions post no error response.
   fw.flash_loads = sri_.pending_slave_errors(s_fdata_) == 0;
+  fw.lmu_loads = sri_.pending_slave_errors(s_lmu_) == 0;
   if (!tc_->fast_enter(fw)) return bail(tc_->last_fast_bail());
   ++exec_stats_.windows;
 

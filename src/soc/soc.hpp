@@ -205,12 +205,14 @@ class Soc {
   /// 0 whenever the machine state doesn't admit a window (wrong tier,
   /// phase probe attached, bus traffic other than the TC's own granted
   /// or done data transaction, no superblock at the PC, ...), in which
-  /// case the caller just step()s. The window carries the TC's uncached
-  /// flash loads whole: the core issues and consumes them, and the
-  /// window steps the flash and the crossbar for each grant and
-  /// completion and counts the service cycles between. A granted
-  /// transaction of any other kind stays in flight until the cycle
-  /// before it completes, where the window ends. `sink` may end the
+  /// case the caller just step()s. The window carries the TC's
+  /// latency-only reads whole — uncached flash loads, D-cache refills
+  /// and LMU loads: the core issues and consumes them, and the window
+  /// steps the flash and the crossbar for each grant and completion and
+  /// counts the service cycles between. It lets the core issue them only
+  /// while no error response is armed on their slave. A granted store,
+  /// SFR or DFlash read stays in flight until the cycle before it
+  /// completes, where the window ends. `sink` may end the
   /// window early by returning false. run() calls this at the top of its
   /// loop with its own sink, and ends the run when that sink ended the
   /// window.
@@ -444,18 +446,21 @@ class Soc {
                             StallTotals& totals);
 
   /// Whether a fast window may run the completion of the transaction on
-  /// `port`: a read on the flash data port with no error response armed
-  /// there and no pending ECC record on the bytes it reads, so that the
-  /// completion posts no alarm for the hoisted monitor step to miss.
+  /// `port`: a read on the flash data port or the LMU with no error
+  /// response armed there and no pending ECC record on the bytes it
+  /// reads, so that the completion posts no alarm for the hoisted monitor
+  /// step to miss.
   bool window_may_complete(const bus::MasterPort& port) const;
 
   Cycle cycle_ = 0;
   mcds::ObservationFrame frame_;
 
   // Flash slave indices on the SRI (the walk refines stalls on these two
-  // via PFlash::access_class; windows complete reads on the data port).
+  // via PFlash::access_class; windows complete reads on the data port),
+  // and the LMU's (windows complete reads there too).
   unsigned s_fcode_ = 0;
   unsigned s_fdata_ = 0;
+  unsigned s_lmu_ = 0;
 
   StallTotals tc_stall_totals_;
   StallTotals pcp_stall_totals_;

@@ -2,7 +2,12 @@
 // sweeps (TEST_P) and the disabled-cache contract.
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "cache/cache.hpp"
+#include "common/prng.hpp"
+#include "common/snapshot.hpp"
 
 namespace audo::cache {
 namespace {
@@ -121,6 +126,76 @@ TEST(Cache, ConfigValidity) {
   disabled.enabled = false;
   disabled.size_bytes = 12345;
   EXPECT_TRUE(disabled.valid());  // geometry irrelevant when off
+}
+
+// The whole state a cache carries: tags, replacement state, stats.
+std::vector<u8> state_of(const Cache& cache) {
+  snapshot::Writer w;
+  cache.save_state(w);
+  return w.take();
+}
+
+// probe_after_fill(a, f) answers what probe(a) answers once f's line is
+// filled, without filling. Checked against a copy that really fills, over
+// seeded random histories of accesses and fills, for every policy and
+// associativity; the query must leave the cache itself untouched.
+TEST(Cache, ProbeAfterFillMatchesProbeOnAFilledCopy) {
+  constexpr unsigned kSets = 4;
+  constexpr unsigned kLine = 32;
+  for (const Replacement repl :
+       {Replacement::kLru, Replacement::kPlruTree, Replacement::kRoundRobin}) {
+    for (const unsigned ways : {1u, 2u, 4u, 8u}) {
+      SCOPED_TRACE("replacement " + std::to_string(static_cast<int>(repl)) +
+                   ", " + std::to_string(ways) + " ways");
+      Cache cache(CacheConfig{true, kSets * ways * kLine, ways, kLine, repl});
+      // Four times as many lines as the cache holds map onto its sets.
+      const u32 set_stride = kSets * kLine;
+      const u32 span = 4 * kSets * ways * kLine;
+      Prng prng(ways * 8 + static_cast<unsigned>(repl));
+      const auto random_addr = [&] {
+        return 0x80000000 + static_cast<Addr>(prng.next_below(span));
+      };
+      for (unsigned step = 0; step < 600; ++step) {
+        // History: an access, a fill after most misses (so sets also keep
+        // invalid ways for a while), and now and then a flush.
+        const Addr a = random_addr();
+        if (!cache.access(a) && prng.chance(0.8)) cache.fill(a);
+        if (prng.chance(0.01)) cache.invalidate_all();
+
+        const Addr filled = random_addr();
+        Cache after = cache;
+        after.fill(filled);
+        const std::vector<u8> before = state_of(cache);
+        // Every line that maps onto the filled line's set...
+        const Addr set_base =
+            0x80000000 + (filled - 0x80000000) % set_stride / kLine * kLine;
+        for (Addr line = set_base; line < 0x80000000 + span;
+             line += set_stride) {
+          const Addr probe_addr =
+              line + static_cast<Addr>(prng.next_below(kLine));
+          EXPECT_EQ(cache.probe_after_fill(probe_addr, filled),
+                    after.probe(probe_addr))
+              << std::hex << "probe 0x" << probe_addr << " after fill 0x"
+              << filled;
+        }
+        // ...and random lines, most of them in other sets.
+        for (unsigned k = 0; k < 4; ++k) {
+          const Addr probe_addr = random_addr();
+          EXPECT_EQ(cache.probe_after_fill(probe_addr, filled),
+                    after.probe(probe_addr))
+              << std::hex << "probe 0x" << probe_addr << " after fill 0x"
+              << filled;
+        }
+        EXPECT_EQ(state_of(cache), before) << "the query changed the cache";
+        if (::testing::Test::HasFailure()) return;
+      }
+    }
+  }
+}
+
+TEST(Cache, ProbeAfterFillOnADisabledCacheMisses) {
+  Cache cache(CacheConfig{false, 1024, 2, 32, Replacement::kLru});
+  EXPECT_FALSE(cache.probe_after_fill(0x1000, 0x1000));
 }
 
 struct Geometry {

@@ -360,7 +360,8 @@ TEST(ExecTier, WindowsOpenUnderFaultInjector) {
 // monitor reports the alarm in the cycle of the read. Through the
 // uncached flash alias the read is a bus load: `word` is the only flash
 // word the loop reads, so after the first iteration every read hits the
-// data port's read buffer and completes in its grant cycle.
+// data port's read buffer and completes in its grant cycle. From the LMU
+// it is a bus load too, which these runs keep in service for five cycles.
 
 std::string ecc_loop(std::string_view code, std::string_view touch,
                      std::string_view data, bool other_line = false) {
@@ -423,6 +424,10 @@ std::vector<EccRoute> ecc_routes() {
       {"uncached_flash_in_service",
        ecc_loop("0xC8000000", "0xC8000200", "0xA0010000", true),
        MemDomain::kPFlash, "word", true},
+      {"lmu_load", ecc_loop("0xC8000000", "0xC8000200", "0x90000100"),
+       MemDomain::kLmu, "word"},
+      {"lmu_in_service", ecc_loop("0xC8000000", "0xC8000200", "0x90000100"),
+       MemDomain::kLmu, "word", true},
       {"pspr_code", ecc_loop("0xC8000000", "0xC8000200", "0xC0000100"),
        MemDomain::kPspr, "touch"},
       {"icache_flash_code", ecc_loop("0x80000000", "0x80000200", "0xC0000100"),
@@ -434,6 +439,7 @@ u32 domain_offset(fault::MemDomain domain, Addr addr) {
   switch (domain) {
     case fault::MemDomain::kDspr: return addr - mem::kDsprBase;
     case fault::MemDomain::kPspr: return addr - mem::kPsprBase;
+    case fault::MemDomain::kLmu: return addr - mem::kLmuBase;
     default: return mem::pflash_offset(addr);
   }
 }
@@ -448,6 +454,15 @@ struct EccRun {
 };
 
 constexpr u64 kEccBudget = 60'000;
+
+/// The configuration of the ECC and bus-error runs: LMU reads stay in
+/// service for five cycles, so a fault can land between a grant there
+/// and its completion.
+soc::SocConfig ecc_config() {
+  soc::SocConfig config = test::small_config();
+  config.lmu_latency = 5;
+  return config;
+}
 
 /// Records the cycles at which the TC's data port is granted `addr`.
 struct GrantRecorder final : soc::FrameObserver {
@@ -465,7 +480,7 @@ struct GrantRecorder final : soc::FrameObserver {
 /// A cycle at which the accurate tier's read of `addr` is in service:
 /// two cycles after the first grant of it at or after `after`.
 Cycle in_service_cycle(const isa::Program& program, Addr addr, Cycle after) {
-  soc::SocConfig config = test::small_config();
+  soc::SocConfig config = ecc_config();
   config.exec_tier = ExecTier::kAccurate;
   soc::Soc soc(config);
   GrantRecorder recorder;
@@ -496,7 +511,7 @@ unsigned slave_index(std::string_view name) {
 /// `flip` may also be any other fault event, such as an armed bus error.
 EccRun run_ecc(const isa::Program& program, const fault::FaultEvent& flip,
                ExecTier tier) {
-  soc::SocConfig config = test::small_config();
+  soc::SocConfig config = ecc_config();
   config.exec_tier = tier;
   fault::FaultInjector injector(fault::FaultPlan{{flip}});
   soc::Soc soc(config);
@@ -556,24 +571,29 @@ TEST(ExecTier, EccRecordsOnWindowWordsBitIdentical) {
   }
 }
 
-// An error response armed on the flash data port turns the next read
-// there into a read-as-zero and a bus-error alarm, which the monitor
-// reports in the cycle of the completion. It is armed once between two
-// read-buffer hits, whose grant cycle is their completion, and once while
-// an array read is in service.
+// An error response armed on the flash data port or the LMU turns the
+// next read there into a read-as-zero and a bus-error alarm, which the
+// monitor reports in the cycle of the completion. On the flash it is
+// armed once between two read-buffer hits, whose grant cycle is their
+// completion, and once while an array read is in service; on the LMU once
+// between two loads and once while a load is in service.
 TEST(ExecTier, BusErrorsOnUncachedFlashLoadsBitIdentical) {
   struct Case {
     const char* name;
     std::string source;
+    const char* slave;
     bool in_service;
   };
   const Case cases[] = {
       {"buffer_hit", ecc_loop("0xC8000000", "0xC8000200", "0xA0010000"),
-       false},
+       "PFlash.data", false},
       {"in_service", ecc_loop("0xC8000000", "0xC8000200", "0xA0010000", true),
-       true},
+       "PFlash.data", true},
+      {"lmu_load", ecc_loop("0xC8000000", "0xC8000200", "0x90000100"), "LMU",
+       false},
+      {"lmu_in_service", ecc_loop("0xC8000000", "0xC8000200", "0x90000100"),
+       "LMU", true},
   };
-  const unsigned flash_data = slave_index("PFlash.data");
   for (const Case& c : cases) {
     SCOPED_TRACE(c.name);
     auto program = isa::assemble(c.source);
@@ -583,7 +603,7 @@ TEST(ExecTier, BusErrorsOnUncachedFlashLoadsBitIdentical) {
     error.at = c.in_service ? in_service_cycle(program.value(), word, 1'025)
                             : 1'025;
     error.kind = fault::FaultKind::kBusError;
-    error.slave = flash_data;
+    error.slave = slave_index(c.slave);
     error.count = 1;
     const EccRun fast = run_ecc(program.value(), error, ExecTier::kSuperblock);
     const EccRun accurate = run_ecc(program.value(), error, ExecTier::kAccurate);
@@ -1027,12 +1047,147 @@ TEST(ExecTier, WindowsCarryUncachedFlashLoadsWhole) {
             3u);
 }
 
-// A window completes a D-cache refill, a read on the flash data port like
-// an uncached load, but leaves finishing it to the stepper: the fill can
-// evict the line a load in the same cycle probes. X, Y and Z share one
-// set of the 2-way D-cache. Each refill's fill evicts the line the next
-// load reads, which waits for the LS port behind the refill and has a
-// WAW partner in its group; the rotation restores the set every pass.
+// ---- LMU loads and D-cache refills in windows ---------------------------
+//
+// A window carries an LMU load as it carries an uncached flash load: it
+// issues the load, steps the crossbar for its grant and completion, and
+// finishes it in the next cycle. Each block of this loop puts a different
+// hazard around one load: a WAW on its destination in its issue group,
+// which the load's consume cycle issues beside a DSPR store; a load-use;
+// and a WAW with a DSPR load in the consume cycle.
+constexpr std::string_view kLmuLoadsInWindows = R"(
+    .text 0xC8000000
+main:
+    movha a4, 0x9000      ; LMU: tbl
+    movha a5, 0xC000      ; DSPR
+    movd  d0, 0
+    movd  d15, 100
+loop:
+    ld.w  d1, [a4+0]      ; WAW on the load's destination in its group
+    add   d1, d0, d0
+    st.w  d0, [a5+0]      ; DSPR store in the load's consume cycle
+    ld.w  d2, [a4+4]
+    add   d3, d3, d2      ; load-use
+    ld.w  d4, [a4+8]      ; WAW, then a DSPR load in the consume cycle
+    add   d4, d1, d1
+    ld.w  d8, [a5+0]
+    add   d7, d7, d8
+    add   d7, d7, d4
+    add   d7, d7, d3
+    addi  d0, d0, 1
+    jne   d0, d15, loop
+    halt
+    .data 0x90000000
+tbl:
+    .word 1
+    .word 10
+    .word 100
+)";
+
+TEST(ExecTier, WindowsCarryLmuLoadsWhole) {
+  const AsmWorkload w = assemble_workload(kLmuLoadsInWindows);
+  // At latency 1 a load completes in its grant cycle; at 2 and 5 the
+  // window counts its service cycles.
+  for (const unsigned latency : {1u, 2u, 5u}) {
+    SCOPED_TRACE("lmu_latency " + std::to_string(latency));
+    soc::SocConfig config = test::small_config();
+    config.lmu_latency = latency;
+    const Observed fast = run_tier(w, kInstallAsm, ExecTier::kSuperblock,
+                                   1'000'000, true, config);
+    const Observed accurate = run_tier(w, kInstallAsm, ExecTier::kAccurate,
+                                       1'000'000, true, config);
+    ASSERT_TRUE(fast.halted);
+    expect_identical(fast, accurate);
+    // Per iteration i: i (d8) + 4i (d4) + 10(i + 1) (d3).
+    EXPECT_EQ(fast.d[7], 4'950u + 4 * 4'950 + 10 * 5'050);
+    EXPECT_GE(fast.exec.fast_cycles * 100, fast.cycles * 95)
+        << fast.exec.fast_cycles << " of " << fast.cycles;
+    EXPECT_LE(bails(fast, cpu::FastBail::kDataRoute) +
+                  bails(fast, cpu::FastBail::kDataBusy),
+              3u);
+  }
+}
+
+// A window carries a cached-flash load that misses the D-cache whole too:
+// the refill is a read on the flash data port, and the cycle that
+// finishes it fills the line before its issue group, so a load there
+// probes the D-cache as the fill leaves it. The loop walks 8 KiB of flash
+// in 64-byte steps, twice the D-cache, so every walk load misses, in the
+// even sets; it has a WAW partner in its group. X, Y and Z share an odd
+// set of the 2-way D-cache. X misses, and in its consume cycle Y hits a
+// line X's fill keeps; Z misses, and in its consume cycle Y hits a line
+// Z's fill evicts, so it misses after all. Each Y load has a WAW partner
+// that joins its group only if it hits. With the D-cache off every load
+// reads the flash data port, as an uncached load does.
+std::string dcache_refill_loop() {
+  std::string source = R"(
+    .text 0xC8000000
+main:
+    movha a6, 0x8001      ; cached alias of tbl: the walk
+    movha a3, 0x8001      ; X, Y and Z
+    movd  d0, 0
+    movd  d15, 128
+loop:
+    ld.w  d1, [a6+0]      ; the walk misses; WAW on its destination
+    add   d1, d0, d0
+    ld.w  d2, [a3+32]     ; X misses
+    ld.w  d3, [a3+2080]   ; Y: a hit X's fill keeps
+    add   d3, d0, d0
+    ld.w  d4, [a3+32]     ; X hits
+    ld.w  d5, [a3+4128]   ; Z misses
+    ld.w  d6, [a3+2080]   ; Y: a hit Z's fill evicts
+    add   d6, d0, d0
+    add   d7, d7, d1
+    add   d7, d7, d2
+    add   d7, d7, d3
+    add   d7, d7, d4
+    add   d7, d7, d5
+    add   d7, d7, d6
+    lea   a6, [a6+64]
+    addi  d0, d0, 1
+    jne   d0, d15, loop
+    halt
+    .data 0x80010000
+tbl:
+)";
+  // Slot k holds the walk's word k + 1, and at offset 32 of slots 0, 32
+  // and 64 the words of X, Y and Z.
+  for (unsigned k = 0; k < 128; ++k) {
+    const unsigned xyz = k == 0 ? 1 : k == 32 ? 10 : k == 64 ? 100 : 0;
+    source += "    .word " + std::to_string(k + 1) + "\n    .space 28\n" +
+              "    .word " + std::to_string(xyz) + "\n    .space 28\n";
+  }
+  return source;
+}
+
+TEST(ExecTier, WindowsCarryDcacheRefillsWhole) {
+  const AsmWorkload w = assemble_workload(dcache_refill_loop());
+  for (const bool dcache : {true, false}) {
+    SCOPED_TRACE(dcache ? "D-cache on" : "D-cache off");
+    soc::SocConfig config = test::small_config();
+    config.dcache.enabled = dcache;
+    const Observed fast = run_tier(w, kInstallAsm, ExecTier::kSuperblock,
+                                   1'000'000, true, config);
+    const Observed accurate = run_tier(w, kInstallAsm, ExecTier::kAccurate,
+                                       1'000'000, true, config);
+    ASSERT_TRUE(fast.halted);
+    expect_identical(fast, accurate);
+    // Per iteration i: 2i from each WAW partner, and 1 + 1 + 100 (X, X
+    // and Z).
+    EXPECT_EQ(fast.d[7], 3u * 2 * 8'128 + 102 * 128);
+    EXPECT_GE(fast.exec.fast_cycles * 100, fast.cycles * 95)
+        << fast.exec.fast_cycles << " of " << fast.cycles;
+    EXPECT_LE(bails(fast, cpu::FastBail::kDataRoute) +
+                  bails(fast, cpu::FastBail::kDataBusy),
+              3u);
+  }
+}
+
+// The fill that finishes a refill can evict the line the next load
+// reads, which waits for the LS port behind the refill and issues in its
+// consume cycle. X, Y and Z share one set of the 2-way D-cache. Each
+// refill's fill evicts the line the next load reads, which has a WAW
+// partner in its group; the rotation restores the set every pass.
 constexpr std::string_view kRefillEvictsNextLoad = R"(
     .text 0xC8000000
 main:
@@ -1066,7 +1221,7 @@ tbl:
     .word 100
 )";
 
-TEST(ExecTier, FinishedDcacheRefillIsLeftToTheStepper) {
+TEST(ExecTier, RefillEvictingTheNextLoadsLineBitIdentical) {
   const AsmWorkload w = assemble_workload(kRefillEvictsNextLoad);
   const Observed fast =
       run_tier(w, kInstallAsm, ExecTier::kSuperblock, 1'000'000);
@@ -1076,7 +1231,8 @@ TEST(ExecTier, FinishedDcacheRefillIsLeftToTheStepper) {
   expect_identical(fast, accurate);
   EXPECT_EQ(fast.d[8], 20u * 111);
   EXPECT_EQ(fast.d[2], 2u * 19);
-  EXPECT_GT(fast.exec.fast_cycles, 0u);
+  EXPECT_GE(fast.exec.fast_cycles * 100, fast.cycles * 95)
+      << fast.exec.fast_cycles << " of " << fast.cycles;
 }
 
 // ---- snapshot / restore invalidation --------------------------------
