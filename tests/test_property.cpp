@@ -30,6 +30,7 @@ class ReferenceIss {
   // Flat views of the memories the generated programs touch.
   std::vector<u8> dspr = std::vector<u8>(64 * 1024, 0);
   std::vector<u8> flash = std::vector<u8>(512 * 1024, 0);
+  std::vector<u8> lmu = std::vector<u8>(64 * 1024, 0);
 
   u32 load(Addr addr, unsigned bytes) {
     u8* base = backing(addr);
@@ -167,13 +168,16 @@ class ReferenceIss {
       const u32 offset = mem::pflash_offset(addr);
       if (offset + 4 <= flash.size()) return flash.data() + offset;
     }
+    if (addr >= mem::kLmuBase && addr - mem::kLmuBase + 4 <= lmu.size()) {
+      return lmu.data() + (addr - mem::kLmuBase);
+    }
     return nullptr;
   }
 };
 
 // ---------------------------------------------------------------------
 // Random program generation: straight-line blocks of ALU + scratchpad
-// memory ops with occasional bounded loops, terminated by HALT. Two
+// memory ops with occasional bounded loops, terminated by HALT. Three
 // variants mix more into the blocks:
 //   * kFlashLoads: some memory ops become loads through the uncached
 //     flash alias (a7), bus loads that end a fast window mid-group and
@@ -181,14 +185,22 @@ class ReferenceIss {
 //   * kControlFlow: forward branches over 1-3 ops for every compare
 //     opcode, forward `j` and `ji`, `call` and `calli` to a leaf
 //     subroutine placed after the HALT, and the address-register ops
-//     mov.a, lea, adda, ld.a and st.a.
-// The default and flash-load variants draw exactly the random numbers
-// they always drew, so their programs never change.
-enum class Variant { kDefault, kFlashLoads, kControlFlow };
+//     mov.a, lea, adda, ld.a and st.a;
+//   * kBusLoads: every memory op goes over the bus: LMU loads and stores
+//     through a7, or cached-flash loads through a8 anywhere in a 16 KiB
+//     data section, so the 4 KiB D-cache misses, hits and evicts.
+// The variants other than kBusLoads draw exactly the random numbers they
+// always drew, so their programs never change.
+enum class Variant { kDefault, kFlashLoads, kControlFlow, kBusLoads };
+
+/// Base of the bus-load variant's flash data section (cached alias).
+constexpr Addr kBusLoadData = 0x80010000;
+constexpr u32 kBusLoadDataBytes = 16 * 1024;
 
 isa::Program random_program(u64 seed, Variant variant = Variant::kDefault) {
   const bool flash_loads = variant == Variant::kFlashLoads;
   const bool control_flow = variant == Variant::kControlFlow;
+  const bool bus_loads = variant == Variant::kBusLoads;
   Prng prng(seed);
   std::vector<isa::Instr> body;
 
@@ -225,6 +237,10 @@ isa::Program random_program(u64 seed, Variant variant = Variant::kDefault) {
   };
   for (u8 r = 2; r <= 6; ++r) emit_movha(r, 0xC000);
   if (flash_loads) emit_movha(7, 0xA000);
+  if (bus_loads) {
+    emit_movha(7, static_cast<u16>(mem::kLmuBase >> 16));
+    emit_movha(8, static_cast<u16>(kBusLoadData >> 16));
+  }
 
   // Control-flow variant. Its address-register ops write only registers
   // that neither the DSPR bases (a2..a6), the flash base (a7), the loop
@@ -310,14 +326,31 @@ isa::Program random_program(u64 seed, Variant variant = Variant::kDefault) {
         control_op();
         continue;
       }
+      static constexpr isa::Opcode kLoadOps[] = {
+          isa::Opcode::kLdW, isa::Opcode::kLdH, isa::Opcode::kLdB,
+      };
+      static constexpr isa::Opcode kMemOps[] = {
+          isa::Opcode::kLdW, isa::Opcode::kLdH, isa::Opcode::kLdB,
+          isa::Opcode::kStW, isa::Opcode::kStH, isa::Opcode::kStB,
+      };
       const u64 pick = prng.next_below(10);
       if (pick < 6) {
         body.push_back(alu());
+      } else if (bus_loads) {
+        isa::Instr in;
+        if (prng.chance(0.5)) {
+          in.opcode = kMemOps[prng.next_below(std::size(kMemOps))];
+          in.ra = 7;  // the LMU
+          in.imm = static_cast<i32>(prng.next_below(1024)) & ~3;
+        } else {
+          in.opcode = kLoadOps[prng.next_below(std::size(kLoadOps))];
+          in.ra = 8;  // the flash data section, cached
+          in.imm = static_cast<i32>(prng.next_below(kBusLoadDataBytes)) & ~3;
+        }
+        in.rd = static_cast<u8>(prng.next_below(16));
+        body.push_back(in);
       } else if (flash_loads && prng.chance(0.4)) {
         // Uncached-flash load of a word of the program image.
-        static constexpr isa::Opcode kLoadOps[] = {
-            isa::Opcode::kLdW, isa::Opcode::kLdH, isa::Opcode::kLdB,
-        };
         isa::Instr in;
         in.opcode = kLoadOps[prng.next_below(std::size(kLoadOps))];
         in.rd = static_cast<u8>(prng.next_below(16));
@@ -327,10 +360,6 @@ isa::Program random_program(u64 seed, Variant variant = Variant::kDefault) {
       } else {
         // Scratchpad load/store with a safe base register and offset.
         isa::Instr in;
-        static constexpr isa::Opcode kMemOps[] = {
-            isa::Opcode::kLdW, isa::Opcode::kLdH, isa::Opcode::kLdB,
-            isa::Opcode::kStW, isa::Opcode::kStH, isa::Opcode::kStB,
-        };
         in.opcode = kMemOps[prng.next_below(std::size(kMemOps))];
         in.rd = static_cast<u8>(prng.next_below(16));
         in.ra = static_cast<u8>(2 + prng.next_below(5));  // a2..a6
@@ -385,6 +414,17 @@ isa::Program random_program(u64 seed, Variant variant = Variant::kDefault) {
   isa::Program program;
   program.set_entry(text.base);
   program.add_section(std::move(text));
+  if (bus_loads) {
+    // Its own generator, so the section adds no draws to the program's.
+    Prng data_prng(~seed);
+    isa::Section data;
+    data.name = ".data";
+    data.base = kBusLoadData;
+    for (u32 i = 0; i < kBusLoadDataBytes; ++i) {
+      data.bytes.push_back(static_cast<u8>(data_prng.next_u32()));
+    }
+    program.add_section(std::move(data));
+  }
   return program;
 }
 
@@ -413,13 +453,18 @@ void expect_matches_reference(const isa::Program& program, u64 seed) {
     EXPECT_EQ(soc.tc().d(r), iss.d[r]) << "d" << r << " seed " << seed;
     EXPECT_EQ(soc.tc().a(r), iss.a[r]) << "a" << r << " seed " << seed;
   }
-  // Scratchpad contents must match too.
-  for (usize i = 0; i < iss.dspr.size(); i += 4) {
-    const u32 model = soc.dspr().array().read32(i);
-    u32 ref = 0;
-    for (int b = 0; b < 4; ++b) ref |= u32{iss.dspr[i + b]} << (8 * b);
-    ASSERT_EQ(model, ref) << "dspr+" << i << " seed " << seed;
-  }
+  // Scratchpad and LMU contents must match too.
+  const auto expect_same = [seed](const mem::MemArray& model,
+                                  const std::vector<u8>& ref,
+                                  const char* name) {
+    for (usize i = 0; i < ref.size(); i += 4) {
+      u32 word = 0;
+      for (int b = 0; b < 4; ++b) word |= u32{ref[i + b]} << (8 * b);
+      ASSERT_EQ(model.read32(i), word) << name << "+" << i << " seed " << seed;
+    }
+  };
+  expect_same(soc.dspr().array(), iss.dspr, "dspr");
+  expect_same(soc.lmu().array(), iss.lmu, "lmu");
 }
 
 TEST_P(CpuVsReference, ArchitecturalStateMatches) {
@@ -436,14 +481,20 @@ TEST_P(CpuVsReference, ArchitecturalStateMatchesWithControlFlow) {
                            GetParam());
 }
 
+TEST_P(CpuVsReference, ArchitecturalStateMatchesWithBusLoads) {
+  expect_matches_reference(random_program(GetParam(), Variant::kBusLoads),
+                           GetParam());
+}
+
 INSTANTIATE_TEST_SUITE_P(RandomPrograms, CpuVsReference,
                          ::testing::Range<u64>(1, 41));
 
 // ---------------------------------------------------------------------
 // Execution-tier identity on generated programs: the superblock tier
 // publishes the same frame stream as the accurate stepper, cycle for
-// cycle, including around the bus loads of the flash-load variant and the
-// calls and jumps of the control-flow variant.
+// cycle, including around the bus loads of the flash-load variant, the
+// calls and jumps of the control-flow variant, and the LMU loads and
+// D-cache refills of the bus-load variant.
 struct TierRun {
   u64 cycles = 0;
   u64 retired = 0;
@@ -476,6 +527,7 @@ TEST_P(TierIdentity, GeneratedProgramsMatchAcrossTiers) {
       {Variant::kDefault, "default variant"},
       {Variant::kFlashLoads, "flash-load variant"},
       {Variant::kControlFlow, "control-flow variant"},
+      {Variant::kBusLoads, "bus-load variant"},
   };
   for (const auto& [variant, name] : variants) {
     SCOPED_TRACE(name);
