@@ -41,6 +41,23 @@ const char* to_string(BottleneckLabel label) {
   return "?";
 }
 
+namespace {
+
+// The name an activation goes by: the function it retired in, or, for one
+// that never retired in a named function, its kind's fallback.
+std::string resolved_task(const DagNode& node) {
+  if (!node.task.empty()) return node.task;
+  switch (node.kind) {
+    case DagNodeKind::kIsr: return "irq@" + std::to_string(node.prio);
+    case DagNodeKind::kIdle: return "idle";
+    case DagNodeKind::kTask:
+      return node.core == kDagCorePcp ? "pcp.task" : "tc.task";
+  }
+  return "";
+}
+
+}  // namespace
+
 const DagTaskSummary* DagAnalysis::find_task(std::string_view name) const {
   for (const DagTaskSummary& t : tasks) {
     if (t.task == name) return &t;
@@ -301,7 +318,7 @@ std::string ExecutionDag::task_at(u8 core, Cycle cycle) const {
   const u32 id = *(it - 1);
   // Windows are contiguous per core, so the found node covers `cycle`
   // (or is the last one, for cycles at/after the end of observation).
-  return analysis().nodes[id].task;
+  return resolved_task(nodes_[id]);
 }
 
 const DagAnalysis& ExecutionDag::analysis() const {
@@ -322,18 +339,7 @@ void ExecutionDag::compute(DagAnalysis& a) const {
   // Resolve the names activations that never retired in a named function
   // would otherwise lack.
   for (DagNode& node : a.nodes) {
-    if (!node.task.empty()) continue;
-    switch (node.kind) {
-      case DagNodeKind::kIsr:
-        node.task = "irq@" + std::to_string(node.prio);
-        break;
-      case DagNodeKind::kIdle:
-        node.task = "idle";
-        break;
-      case DagNodeKind::kTask:
-        node.task = node.core == kDagCorePcp ? "pcp.task" : "tc.task";
-        break;
-    }
+    if (node.task.empty()) node.task = resolved_task(node);
   }
 
   // ---- critical path ------------------------------------------------

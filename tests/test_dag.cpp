@@ -40,7 +40,9 @@ workload::EngineOptions engine_options() {
 ///    decompose exactly into issue + stall buckets;
 ///  * critical_path_cycles <= total_cycles, and the reported chain's
 ///    nodes are strictly ordered in time;
-///  * node_slack is 0 exactly on critical-path nodes.
+///  * node_slack is 0 exactly on critical-path nodes;
+///  * task_at() names the activation covering a cycle as the analysis
+///    does, fallback names included.
 void check_invariants(const soc::Soc& soc, const ExecutionDag& dag) {
   const DagAnalysis& a = dag.analysis();
   u64 per_core[2] = {0, 0};
@@ -48,6 +50,7 @@ void check_invariants(const soc::Soc& soc, const ExecutionDag& dag) {
     if (n.core >= 2) continue;  // synthetic bus-master nodes carry 0
     per_core[n.core] += n.cycles;
     EXPECT_EQ(n.cycles, n.end - n.start + 1) << "node " << n.id;
+    EXPECT_EQ(dag.task_at(n.core, n.start), n.task) << "node " << n.id;
     u64 stall_sum = 0;
     for (const u64 s : n.stall) stall_sum += s;
     EXPECT_EQ(n.cycles, n.issue_cycles + stall_sum) << "node " << n.id;
