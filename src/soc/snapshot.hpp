@@ -31,7 +31,7 @@ namespace audo::soc {
 
 struct Snapshot {
   static constexpr u32 kMagic = 0x4E534441;  // "ADSN" little-endian
-  static constexpr u32 kVersion = 1;
+  static constexpr u32 kVersion = 2;
 
   u64 shape_fingerprint = 0;
   Cycle cycle = 0;

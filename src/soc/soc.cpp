@@ -64,6 +64,18 @@ u32 read_mem_word(const void* ctx, u32 offset) {
   return static_cast<const mem::MemArray*>(ctx)->peek(offset, 4);
 }
 
+// The observation a core parked in WFI or halted publishes every cycle,
+// attributed as the walk attributes it.
+mcds::CoreObservation parked(const cpu::Cpu& cpu) {
+  mcds::CoreObservation obs;
+  obs.present = true;
+  obs.stall = cpu.halted() ? mcds::StallCause::kHalted : mcds::StallCause::kWfi;
+  obs.attr.symptom = obs.stall;
+  obs.attr.root = cpu.halted() ? mcds::StallRootCause::kHalted
+                               : mcds::StallRootCause::kWfi;
+  return obs;
+}
+
 }  // namespace
 
 Soc::Soc(const SocConfig& config)
@@ -363,7 +375,6 @@ void Soc::step() {
           raised[i].priority, static_cast<u8>(raised[i].target)};
     }
   }
-  if (tracer_ != nullptr) tracer_->observe(frame_);
   for (FrameObserver* obs : observers_) obs->observe(frame_);
   if (probe_ != nullptr) probe_->end(StepPhase::kObserve);
 }
@@ -437,28 +448,18 @@ void Soc::attribute_core_stall(const cpu::Cpu& cpu, mcds::CoreObservation& obs,
 }
 
 mcds::ObservationFrame Soc::make_idle_frame() const {
-  using mcds::StallCause;
-  using mcds::StallRootCause;
   mcds::ObservationFrame idle;
   idle.cycle = cycle_;
-  idle.tc.present = true;
-  idle.tc.stall = tc_->halted() ? StallCause::kHalted : StallCause::kWfi;
-  idle.tc.attr.symptom = idle.tc.stall;
-  idle.tc.attr.root =
-      tc_->halted() ? StallRootCause::kHalted : StallRootCause::kWfi;
-  if (pcp_ != nullptr) {
-    idle.pcp.present = true;
-    idle.pcp.stall = pcp_->halted() ? StallCause::kHalted : StallCause::kWfi;
-    idle.pcp.attr.symptom = idle.pcp.stall;
-    idle.pcp.attr.root =
-        pcp_->halted() ? StallRootCause::kHalted : StallRootCause::kWfi;
-  }
+  idle.tc = parked(*tc_);
+  if (pcp_ != nullptr) idle.pcp = parked(*pcp_);
   return idle;
 }
 
 void Soc::set_tracer(SocTracer* tracer) {
+  std::erase(observers_, tracer_);
   tracer_ = tracer;
   if (tracer_ == nullptr) return;
+  observers_.insert(observers_.begin(), tracer_);
   std::vector<std::string> names;
   names.reserve(sri_.slave_count());
   for (unsigned s = 0; s < sri_.slave_count(); ++s) {
@@ -578,30 +579,28 @@ Cycle Soc::next_activity_cycle(WakeSource* source) const {
   return best;
 }
 
-void Soc::skip_idle(u64 n, WakeSource source) {
+void Soc::skip_timed(u64 n) {
   stm_.skip(n);
   watchdog_.skip(n);
   crank_.skip(n);
   adc_.skip(n);
   can_.skip(n);
   pflash_.skip(n);
-  tc_->skip(n);
   if (pcp_ != nullptr) pcp_->skip(n);
+}
+
+void Soc::skip_idle(u64 n, WakeSource source, FrameSink* sink) {
+  skip_timed(n);
+  tc_->skip(n);
   // Attribution: each skipped cycle is exactly a parked-core cycle, so
   // the totals advance as n idle step()s would have advanced them.
-  tc_stall_totals_.cycles[static_cast<unsigned>(
-      tc_->halted() ? mcds::StallRootCause::kHalted
-                    : mcds::StallRootCause::kWfi)] += n;
+  const mcds::ObservationFrame idle = make_idle_frame();
+  tc_stall_totals_.cycles[static_cast<unsigned>(idle.tc.attr.root)] += n;
   if (pcp_ != nullptr) {
-    pcp_stall_totals_.cycles[static_cast<unsigned>(
-        pcp_->halted() ? mcds::StallRootCause::kHalted
-                       : mcds::StallRootCause::kWfi)] += n;
+    pcp_stall_totals_.cycles[static_cast<unsigned>(idle.pcp.attr.root)] += n;
   }
-  if (tracer_ != nullptr) tracer_->skip_idle(cycle_, cycle_ + n);
-  if (!observers_.empty()) {
-    const mcds::ObservationFrame idle = make_idle_frame();
-    for (FrameObserver* obs : observers_) obs->skip_idle(idle, n);
-  }
+  for (FrameObserver* obs : observers_) obs->skip_idle(idle, n);
+  if (sink != nullptr) sink->skip_idle(idle, n);
   cycle_ += n;
   ff_stats_.skipped_cycles += n;
   ff_stats_.wakeups += 1;
@@ -734,20 +733,10 @@ u64 Soc::run_fast_window(u64 max_cycles, FrameSink* sink) {
   frame_.sri = bus::FabricObservation{};
   frame_.flash = mem::PFlash::Strobes{};
   frame_.dma = mcds::DmaObservation{};
-  mcds::CoreObservation pcp_parked;
   unsigned pcp_root = 0;
   if (pcp_ != nullptr) {
-    pcp_parked.present = true;
-    pcp_parked.stall = pcp_->halted() ? mcds::StallCause::kHalted
-                                      : mcds::StallCause::kWfi;
-    pcp_parked.attr.symptom = pcp_parked.stall;
-    pcp_parked.attr.root = pcp_->halted() ? mcds::StallRootCause::kHalted
-                                          : mcds::StallRootCause::kWfi;
-    pcp_root = static_cast<unsigned>(pcp_parked.attr.root);
-  }
-
-  if (pcp_ != nullptr) {
-    frame_.pcp = pcp_parked;
+    frame_.pcp = parked(*pcp_);
+    pcp_root = static_cast<unsigned>(frame_.pcp.attr.root);
   } else {
     frame_.pcp.reset();
   }
@@ -805,7 +794,6 @@ u64 Soc::run_fast_window(u64 max_cycles, FrameSink* sink) {
     if (pcp_ != nullptr) {
       pcp_stall_totals_.cycles[pcp_root] += 1;
     }
-    if (tracer_ != nullptr) tracer_->observe(frame_);
     for (FrameObserver* obs : observers_) obs->observe(frame_);
     if (sink != nullptr && !sink->on_frame(frame_)) {
       stop = true;
@@ -837,16 +825,10 @@ u64 Soc::run_fast_window(u64 max_cycles, FrameSink* sink) {
   // stepped cycle would; a fabric the window never touched has nothing
   // to advance.
   if (ran != 0) {
-    stm_.skip(ran);
-    watchdog_.skip(ran);
-    crank_.skip(ran);
-    adc_.skip(ran);
-    can_.skip(ran);
-    pflash_.skip(ran);
+    skip_timed(ran);
     if ((in_flight || bus_step != 0) && bus_step != cycle_) {
       sri_.skip_service(served);
     }
-    if (pcp_ != nullptr) pcp_->skip(ran);
   }
   exec_stats_.fast_cycles += ran;
   return ran;
@@ -886,25 +868,21 @@ u64 Soc::run(u64 max_cycles, FrameSink* sink) {
     // the wake cycle, which is then stepped normally so the wake event
     // replays exactly as in cycle-by-cycle mode.
     u64 idle = next == periph::kNoActivity ? budget - steps : next - cycle_ - 1;
-    if (idle == 0) continue;
     if (idle >= budget - steps) {
       idle = budget - steps;
       source = WakeSource::kBudget;
     }
-    if (sink == nullptr) {
-      skip_idle(idle, source);
-    } else {
-      // The sink's own schedule (periodic syncs, counter samples) lands
-      // in stepped cycles too.
-      const mcds::ObservationFrame frame = make_idle_frame();
-      if (const u64 limit = sink->idle_skip_limit(frame); limit < idle) {
+    // The sink's own schedule (periodic syncs, counter samples) lands in
+    // stepped cycles too.
+    if (sink != nullptr && idle != 0) {
+      if (const u64 limit = sink->idle_skip_limit(make_idle_frame());
+          limit < idle) {
         idle = limit;
         source = WakeSource::kMcds;
       }
-      if (idle == 0) continue;
-      skip_idle(idle, source);
-      sink->skip_idle(frame, idle);
     }
+    if (idle == 0) continue;
+    skip_idle(idle, source, sink);
     steps += idle;
   }
   return steps;
@@ -924,11 +902,6 @@ constexpr u32 kTagBus = 0x20535542;     // "BUS "
 constexpr u32 kTagPeriph = 0x49524550;  // "PERI"
 constexpr u32 kTagSafety = 0x45464153;  // "SAFE"
 constexpr u32 kTagFault = 0x544C4146;   // "FALT"
-constexpr u32 kTagTracer = 0x52435254;  // "TRCR"
-
-// u64 words a tracer-schedule block occupies (for discarding the block
-// when a snapshot carries one but no tracer is attached on restore).
-constexpr unsigned kTracerScheduleWords = 11 + mcds::kNumStallRootCauses;
 }  // namespace
 
 Result<Snapshot> Soc::save_snapshot() const {
@@ -1004,11 +977,6 @@ void Soc::save_state(snapshot::Writer& w) const {
   w.begin_section(kTagFault);
   w.put_bool(injector_ != nullptr);
   if (injector_ != nullptr) injector_->save_state(w);
-  w.end_section();
-
-  w.begin_section(kTagTracer);
-  w.put_bool(tracer_ != nullptr);
-  if (tracer_ != nullptr) tracer_->save_state(w);
   w.end_section();
 }
 
@@ -1098,17 +1066,6 @@ void Soc::restore_state(snapshot::Reader& r) {
   // No injector in the image + one attached now = warm fork: the freshly
   // constructed injector (cursor 0, no storms) is exactly the state an
   // uninterrupted run would have, since no event fired before capture.
-  r.leave_section();
-
-  r.enter_section(kTagTracer);
-  const bool had_tracer = r.get_bool();
-  if (had_tracer) {
-    if (tracer_ != nullptr) {
-      tracer_->restore_state(r);
-    } else {
-      for (unsigned i = 0; i < kTracerScheduleWords; ++i) r.get_u64();
-    }
-  }
   r.leave_section();
 
   // Re-publish a frame consistent with the restored quiescent machine.
