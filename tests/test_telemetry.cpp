@@ -6,9 +6,11 @@
 #include <algorithm>
 #include <set>
 
+#include "common/bits.hpp"
 #include "common/json.hpp"
 #include "ed/emulation_device.hpp"
 #include "helpers.hpp"
+#include "profiling/cpi_stack.hpp"
 #include "soc/tracer.hpp"
 #include "telemetry/host_profiler.hpp"
 #include "telemetry/metrics.hpp"
@@ -268,6 +270,84 @@ TEST(SocTracer, EngineRunExportsBalancedNestedSpans) {
     EXPECT_GT(ev.find("dur")->number, 0.0);
   }
   EXPECT_GE(tids.size(), 4u);
+}
+
+TEST(SocTracer, TraceIdenticalAcrossHostModes) {
+  // The idle engine parks in WFI between crank teeth, so fast-forward
+  // skips most of its cycles and windows run much of the rest. The trace
+  // must not show how the cycles ran: every host mode exports the same
+  // bytes, on a plain Soc and on the ED, whose sink adds the EEC track.
+  workload::EngineOptions opt;
+  opt.crank_time_scale = 100;
+  opt.idle_background = true;
+  auto built = workload::build_engine_workload(opt);
+  ASSERT_TRUE(built.is_ok()) << built.status().to_string();
+  const workload::EngineWorkload& w = built.value();
+  constexpr u64 kCycles = 120'000;
+  using Tier = soc::SocConfig::ExecTier;
+
+  struct Trace {
+    usize bytes = 0;
+    u64 hash = 0;
+    usize events = 0;
+  };
+  // A CPI observer rides along. `tracer_first` attaches the tracer before
+  // it, so set_frame_observer() must keep the tracer.
+  const auto trace = [&](bool on_ed, Tier tier, bool fast_forward,
+                         bool tracer_first) {
+    soc::SocConfig chip = test::small_config();
+    chip.exec_tier = tier;
+    chip.fast_forward = fast_forward;
+    soc::SocTracer tracer;
+    profiling::CpiStackBuilder cpi{isa::SymbolMap(w.program)};
+    const auto attach = [&](soc::Soc& soc) {
+      if (tracer_first) soc.set_tracer(&tracer);
+      soc.set_frame_observer(&cpi);
+      if (!tracer_first) soc.set_tracer(&tracer);
+    };
+    Cycle end = 0;
+    if (on_ed) {
+      mcds::McdsConfig mcds_cfg;
+      mcds_cfg.program_trace = true;
+      mcds_cfg.irq_trace = true;
+      ed::EmulationDevice ed(chip, mcds_cfg, ed::EdConfig{});
+      EXPECT_TRUE(ed.load(w.program).is_ok());
+      workload::configure_engine(ed.soc(), w.options);
+      ed.reset(w.tc_entry, w.pcp_entry);
+      attach(ed.soc());
+      ed.run(kCycles);
+      end = ed.soc().cycle();
+    } else {
+      soc::Soc soc(chip);
+      EXPECT_TRUE(workload::install_engine(soc, w).is_ok());
+      attach(soc);
+      soc.run(kCycles);
+      end = soc.cycle();
+    }
+    tracer.finish(end);
+    const std::string json = tracer.timeline().to_chrome_json(chip.clock_hz);
+    return Trace{json.size(), fnv1a(kFnvOffset, json),
+                 tracer.timeline().event_count()};
+  };
+
+  for (const bool on_ed : {false, true}) {
+    const Trace reference = trace(on_ed, Tier::kAccurate, false, false);
+    EXPECT_GT(reference.events, 1000u);
+    for (const Tier tier : {Tier::kAccurate, Tier::kSuperblock}) {
+      for (const bool fast_forward : {true, false}) {
+        if (tier == Tier::kAccurate && !fast_forward) continue;
+        SCOPED_TRACE(testing::Message()
+                     << (on_ed ? "ED, " : "Soc, ")
+                     << (tier == Tier::kAccurate ? "accurate" : "superblock")
+                     << (fast_forward ? ", ff on" : ", ff off"));
+        const bool tracer_first =
+            !on_ed && tier == Tier::kSuperblock && fast_forward;
+        const Trace t = trace(on_ed, tier, fast_forward, tracer_first);
+        EXPECT_EQ(t.bytes, reference.bytes);
+        EXPECT_EQ(t.hash, reference.hash);
+      }
+    }
+  }
 }
 
 // ---------------------------------------------------------------------
