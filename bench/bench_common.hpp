@@ -137,8 +137,11 @@ class BenchTelemetry {
   const BenchArgs& args() const { return args_; }
 
   /// Attach to the SoC that will do the measured run (register every
-  /// component's metrics; install tracer and phase probe). Call before
-  /// the run; the SoC must outlive this object.
+  /// component's metrics; install the tracer for --perfetto and the phase
+  /// probe for --report). The probe feeds only the report's host block,
+  /// and while attached it closes the fast tier, so --perfetto alone keeps
+  /// the shipped tier. Call before the run; the SoC must outlive this
+  /// object.
   void attach(soc::Soc& soc) {
     if (!enabled()) return;
     soc_ = &soc;
@@ -146,7 +149,7 @@ class BenchTelemetry {
     if (!args_.perfetto_path.empty()) {
       soc.set_tracer(&tracer_);
     }
-    soc.set_phase_probe(&profiler_.probe());
+    if (!args_.report_path.empty()) soc.set_phase_probe(&profiler_.probe());
   }
 
   /// ED flavour: product chip plus the EEC side ("mcds", "emem", "dap").
@@ -157,7 +160,9 @@ class BenchTelemetry {
     if (!args_.perfetto_path.empty()) {
       ed.soc().set_tracer(&tracer_);
     }
-    ed.soc().set_phase_probe(&profiler_.probe());
+    if (!args_.report_path.empty()) {
+      ed.soc().set_phase_probe(&profiler_.probe());
+    }
   }
 
   /// Bracket the measured run (host wall-clock window).

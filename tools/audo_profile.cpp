@@ -326,7 +326,11 @@ int main(int argc, char** argv) {
   if (telemetry_on) {
     session.device().register_metrics(registry);
     if (perfetto_path != nullptr) session.device().soc().set_tracer(&tracer);
-    session.device().soc().set_phase_probe(&host.probe());
+    // The probe feeds only the report's host block, and while attached it
+    // closes the fast tier, so --perfetto alone keeps the shipped tier.
+    if (report_path != nullptr) {
+      session.device().soc().set_phase_probe(&host.probe());
+    }
     host.start(session.device().soc().cycle());
   }
 
