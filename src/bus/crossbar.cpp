@@ -111,13 +111,11 @@ void Crossbar::skip_service(u64 n) {
   }
   observation_.clear();
   blocked_by_.fill(MasterId::kCount);
-  blocked_slave_.fill(0xFF);
 }
 
 void Crossbar::step(Cycle now) {
   observation_.clear();
   blocked_by_.fill(MasterId::kCount);
-  blocked_slave_.fill(0xFF);
 
   // A master-cycle spent blocked: the request stays kWaiting past this
   // cycle's arbitration while `holder` occupies (or wins) the slave.
@@ -125,7 +123,6 @@ void Crossbar::step(Cycle now) {
                             unsigned s) {
     const auto w = static_cast<unsigned>(waiter->request_.master);
     blocked_by_[w] = holder;
-    blocked_slave_[w] = static_cast<u8>(s);
     interference_[interference_index(w, static_cast<unsigned>(holder), s)]++;
   };
 

@@ -95,7 +95,6 @@ class Crossbar {
   explicit Crossbar(ArbitrationPolicy policy = ArbitrationPolicy::kFixedPriority)
       : policy_(policy) {
     blocked_by_.fill(MasterId::kCount);
-    blocked_slave_.fill(0xFF);
   }
 
   /// Register a slave; returns its index for region mapping.
@@ -109,7 +108,6 @@ class Crossbar {
   /// kFixedPriority. Defaults to MasterId enumeration order.
   void set_priority_order(std::vector<MasterId> order);
 
-  void set_policy(ArbitrationPolicy policy) { policy_ = policy; }
   ArbitrationPolicy policy() const { return policy_; }
 
   /// Issue a request on a master's port. The port must be idle.
@@ -187,10 +185,6 @@ class Crossbar {
   MasterId blocked_by(MasterId master) const {
     return blocked_by_[static_cast<unsigned>(master)];
   }
-  /// Slave index `master` was blocked on this cycle (0xFF = none).
-  u8 blocked_slave(MasterId master) const {
-    return blocked_slave_[static_cast<unsigned>(master)];
-  }
 
   /// Snapshot support. Only valid while idle(): transient wiring
   /// (pending_ MasterPort*, active_port) is empty/null then, so the
@@ -241,7 +235,6 @@ class Crossbar {
     for (u64& v : interference_) v = r.get_u64();
     pending_.fill(nullptr);
     blocked_by_.fill(MasterId::kCount);
-    blocked_slave_.fill(0xFF);
     observation_.clear();
   }
 
@@ -276,7 +269,6 @@ class Crossbar {
   std::vector<u64> interference_;
   // Per-cycle blocking info, rewritten by every step().
   std::array<MasterId, kNumMasters> blocked_by_{};
-  std::array<u8, kNumMasters> blocked_slave_{};
 
   FabricObservation observation_;
 };

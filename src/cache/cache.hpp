@@ -46,10 +46,6 @@ struct CacheStats {
   u64 hits = 0;
   u64 misses = 0;
   u64 evictions = 0;
-
-  double hit_rate() const {
-    return accesses == 0 ? 0.0 : static_cast<double>(hits) / static_cast<double>(accesses);
-  }
 };
 
 class Cache {

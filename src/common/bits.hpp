@@ -18,12 +18,6 @@ constexpr u32 bits(u32 value, unsigned lsb, unsigned count) {
   return (value >> lsb) & mask;
 }
 
-constexpr u64 bits64(u64 value, unsigned lsb, unsigned count) {
-  assert(lsb < 64 && count >= 1 && lsb + count <= 64);
-  const u64 mask = (count == 64) ? ~u64{0} : ((u64{1} << count) - 1);
-  return (value >> lsb) & mask;
-}
-
 /// Insert `count` bits of `field` into `target` at bit `lsb`.
 constexpr u32 insert_bits(u32 target, unsigned lsb, unsigned count, u32 field) {
   assert(lsb < 32 && count >= 1 && lsb + count <= 32);

@@ -115,7 +115,6 @@ class BitReader {
     }
   }
 
-  u64 bit_position() const { return pos_; }
   bool exhausted() const { return pos_ >= bytes_->size() * 8; }
   /// True when fewer than `count` bits remain.
   bool remaining_less_than(unsigned count) const {

@@ -242,7 +242,6 @@ class Cpu {
   void restore_state(snapshot::Reader& r);
 
   u32 icr() const { return icr_; }
-  void set_biv(Addr biv) { biv_ = biv; }
   Addr biv() const { return biv_; }
 
   const CpuConfig& config() const { return config_; }

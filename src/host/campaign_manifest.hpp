@@ -83,7 +83,6 @@ class CampaignManifest {
   Status append(const ScenarioRecord& record);
 
   void close();
-  bool is_open() const { return file_ != nullptr; }
 
   /// Parse a manifest. A torn trailing line (the crash happened
   /// mid-write) is silently dropped; a malformed line anywhere else is

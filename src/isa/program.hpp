@@ -51,10 +51,6 @@ class Program {
     return error(StatusCode::kNotFound, "symbol not found: " + name);
   }
 
-  bool has_symbol(const std::string& name) const {
-    return symbol_addr(name).is_ok();
-  }
-
   /// Total initialised bytes across all sections.
   usize total_bytes() const {
     usize n = 0;
@@ -89,7 +85,6 @@ class SymbolMap {
     std::string name;
   };
   const std::vector<Range>& functions() const { return functions_; }
-  const std::vector<Range>& data_objects() const { return data_; }
 
  private:
   static const std::string& lookup(const std::vector<Range>& ranges, Addr addr);

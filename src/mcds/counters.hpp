@@ -99,11 +99,6 @@ class CounterBank {
   /// Current threshold flags (index via flag_index).
   const std::vector<bool>& flags() const { return flags_; }
 
-  unsigned group_count() const { return static_cast<unsigned>(groups_.size()); }
-  const CounterGroupConfig& group_config(unsigned g) const {
-    return groups_.at(g).config;
-  }
-
   void reset();
 
   /// Snapshot support: arming, mid-window accumulators and threshold

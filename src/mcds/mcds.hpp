@@ -100,7 +100,6 @@ class Mcds {
 
   bool trace_enabled() const { return trace_enabled_ && !trace_frozen_; }
   bool trace_frozen() const { return trace_frozen_; }
-  u8 fsm_state() const { return fsm_.state(); }
 
   /// A kBreak action fired (sticky until cleared): the debug-halt request
   /// the Emulation Device honours by pausing the clock for the tool.

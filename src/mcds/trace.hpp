@@ -86,7 +86,6 @@ class TraceEncoder {
   /// absolute values until a sync re-anchors.
   void reset_anchors();
 
-  u64 messages_encoded() const { return messages_; }
   u64 bytes_encoded() const { return bytes_; }
   u64 bits_encoded() const { return bits_; }
 

@@ -18,44 +18,6 @@ MeasuredSlack measured_slack_from_dag(const profiling::DagAnalysis& dag) {
   return m;
 }
 
-MeasuredContention MeasuredContention::from_fabric(const bus::Crossbar& fabric,
-                                                  u64 run_cycles) {
-  MeasuredContention m;
-  m.run_cycles = run_cycles;
-  for (unsigned s = 0; s < fabric.slave_count(); ++s) {
-    u64 slave_total = 0;
-    for (unsigned w = 0; w < bus::kNumMasters; ++w) {
-      for (unsigned h = 0; h < bus::kNumMasters; ++h) {
-        slave_total += fabric.interference(static_cast<bus::MasterId>(w),
-                                           static_cast<bus::MasterId>(h), s);
-      }
-    }
-    if (slave_total == 0) continue;
-    m.per_slave.emplace_back(std::string(fabric.slave_name(s)), slave_total);
-    m.blocked_cycles_total += slave_total;
-  }
-  return m;
-}
-
-double CostModel::contention_speedup_bound(const MeasuredContention& m) const {
-  // Amdahl: removing the blocked fraction of the run leaves 1 - f of the
-  // original time. Blocked master-cycles can overlap in a cycle, so cap
-  // the recoverable fraction below 1.
-  const double f = std::min(m.blocked_fraction(), 0.95);
-  return 1.0 / (1.0 - f);
-}
-
-double CostModel::contention_gain_per_cost(const MeasuredContention& m,
-                                           double recovered_fraction,
-                                           double area_delta_au) const {
-  const double f =
-      std::min(m.blocked_fraction() * recovered_fraction, 0.95);
-  const double gain_percent = (1.0 / (1.0 - f) - 1.0) * 100.0;
-  if (area_delta_au > 0.0) return gain_percent / (area_delta_au / 100.0);
-  // Same free-option convention as ArchitectureEvaluator rankings.
-  return gain_percent >= 0.0 ? gain_percent * 1000.0 : gain_percent;
-}
-
 double CostModel::task_speedup_bound(const MeasuredSlack& m,
                                      std::string_view task) const {
   const MeasuredSlack::TaskSlack* t = m.find(task);

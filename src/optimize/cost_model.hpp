@@ -8,7 +8,6 @@
 
 #include <string>
 #include <string_view>
-#include <utility>
 #include <vector>
 
 #include "soc/soc_config.hpp"
@@ -18,32 +17,6 @@ struct DagAnalysis;
 }
 
 namespace audo::optimize {
-
-/// Measured bus contention, harvested from a run's master×slave
-/// interference matrix (bus::Crossbar::interference): blocked
-/// master-cycles per slave, normalised by the run length. This is the
-/// measured input to the §6 decision rule — instead of guessing which
-/// arbitration/port option might pay off, the evaluator bounds the gain
-/// with data from the profiled run.
-struct MeasuredContention {
-  u64 run_cycles = 0;
-  u64 blocked_cycles_total = 0;
-  /// Slave name -> blocked master-cycles summed over all (waiter,
-  /// holder) pairs; only contended slaves appear.
-  std::vector<std::pair<std::string, u64>> per_slave;
-
-  /// Snapshot a fabric's interference matrix after a run.
-  static MeasuredContention from_fabric(const bus::Crossbar& fabric,
-                                        u64 run_cycles);
-
-  /// Fraction of run cycles some master spent blocked (can exceed 1.0
-  /// when several masters are blocked in the same cycle).
-  double blocked_fraction() const {
-    return run_cycles == 0 ? 0.0
-                           : static_cast<double>(blocked_cycles_total) /
-                                 static_cast<double>(run_cycles);
-  }
-};
 
 /// Measured per-task optimization headroom, harvested from an execution
 /// DAG's per-task slack (profiling::ExecutionDag). Slack bounds how many
@@ -93,20 +66,6 @@ struct CostModel {
 
   double cache_area(const cache::CacheConfig& cache) const;
   double soc_area(const soc::SocConfig& config) const;
-
-  /// Amdahl bound on the speedup from eliminating the measured bus
-  /// contention entirely (every blocked master-cycle recovered). The
-  /// realistic ceiling for fabric options — arbitration policy, extra
-  /// flash ports — before re-simulating them.
-  double contention_speedup_bound(const MeasuredContention& m) const;
-
-  /// Gain/cost ratio of a fabric option from measured contention:
-  /// percent of the contention bound realised per 100 au, assuming the
-  /// option recovers `recovered_fraction` of blocked cycles. Zero-cost
-  /// options are capped like ArchitectureEvaluator rankings.
-  double contention_gain_per_cost(const MeasuredContention& m,
-                                  double recovered_fraction,
-                                  double area_delta_au) const;
 
   /// Amdahl bound on the end-to-end speedup from accelerating `task`
   /// alone, honouring its DAG slack: only the task's critical-path

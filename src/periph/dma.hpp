@@ -70,7 +70,6 @@ class DmaController final : public SfrDevice {
 
   const mcds::DmaObservation& observation() const { return observation_; }
   const ChannelStats& stats(unsigned ch) const { return channels_.at(ch).stats; }
-  unsigned channel_count() const { return static_cast<unsigned>(channels_.size()); }
   bool channel_idle(unsigned ch) const;
 
   u32 read_sfr(u32 offset) override;

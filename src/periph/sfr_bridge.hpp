@@ -58,7 +58,6 @@ class PeriphBridge final : public bus::BusSlave {
 
   std::string_view name() const override { return "PBridge"; }
 
-  u64 unmapped_accesses() const { return unmapped_; }
   u64 faulted_reads() const { return faulted_reads_; }
 
   /// Snapshot support: armed stuck-SFR faults and access diagnostics.
