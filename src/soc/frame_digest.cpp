@@ -9,12 +9,12 @@ namespace {
 // The component index order used by WindowedFrameDigest::components.
 constexpr const char* kComponents[WindowedFrameDigest::kNumComponents] = {
     "tc", "pcp", "sri", "flash", "dma", "safety", "irq"};
+enum Component : unsigned { kTc, kPcp, kSri, kFlash, kDma, kSafety, kIrq };
 
-void core_fields(const char* component, const mcds::CoreObservation& c,
-                 std::vector<FrameField>& out) {
-  const auto add = [&](const char* field, u64 v) {
-    out.push_back(FrameField{component, field, v});
-  };
+template <typename Visit>
+void walk_core_fields(unsigned component, const mcds::CoreObservation& c,
+                      Visit& visit) {
+  const auto add = [&](const char* field, u64 v) { visit(component, field, v); };
   add("present", c.present);
   add("retired", c.retired);
   add("retire_pc", c.retire_pc);
@@ -48,94 +48,87 @@ void core_fields(const char* component, const mcds::CoreObservation& c,
   add("periph_data_access", c.periph_data_access);
 }
 
+/// Hand every architectural field of `f` except the cycle stamp to
+/// `visit(component, field, value)`, in the fixed order that defines
+/// every digest below. Walking instead of building a list keeps the
+/// per-frame digests free of allocation.
+template <typename Visit>
+void walk_frame_fields(const mcds::ObservationFrame& f, Visit&& visit) {
+  walk_core_fields(kTc, f.tc, visit);
+  walk_core_fields(kPcp, f.pcp, visit);
+  visit(kSri, "any_grant", f.sri.any_grant);
+  visit(kSri, "granted_master", static_cast<u64>(f.sri.granted_master));
+  visit(kSri, "granted_slave", f.sri.granted_slave);
+  visit(kSri, "granted_addr", f.sri.granted_addr);
+  visit(kSri, "granted_write", f.sri.granted_write);
+  visit(kSri, "contention", f.sri.contention);
+  visit(kSri, "waiting_masters", f.sri.waiting_masters);
+  visit(kSri, "error_response", f.sri.error_response);
+  visit(kSri, "error_master", static_cast<u64>(f.sri.error_master));
+  visit(kSri, "completed_count", f.sri.completed_count);
+  for (unsigned i = 0; i < f.sri.completed_count; ++i) {
+    const bus::CompletedTransaction& t = f.sri.completed[i];
+    visit(kSri, "completed.master", static_cast<u64>(t.master));
+    visit(kSri, "completed.slave", t.slave);
+    visit(kSri, "completed.addr", t.addr);
+    visit(kSri, "completed.write", t.write);
+    visit(kSri, "completed.fetch", t.fetch);
+    visit(kSri, "completed.issued_at", t.issued_at);
+    visit(kSri, "completed.granted_at", t.granted_at);
+  }
+  visit(kFlash, "code_access", f.flash.code_access);
+  visit(kFlash, "code_buffer_hit", f.flash.code_buffer_hit);
+  visit(kFlash, "data_access", f.flash.data_access);
+  visit(kFlash, "data_buffer_hit", f.flash.data_buffer_hit);
+  visit(kFlash, "array_conflict", f.flash.array_conflict);
+  visit(kDma, "transfer", f.dma.transfer);
+  visit(kDma, "channel", f.dma.channel);
+  visit(kSafety, "ecc_corrected", f.safety.ecc_corrected);
+  visit(kSafety, "ecc_uncorrectable", f.safety.ecc_uncorrectable);
+  visit(kSafety, "bus_error", f.safety.bus_error);
+  visit(kSafety, "wdt_timeout", f.safety.wdt_timeout);
+  visit(kSafety, "cpu_trap", f.safety.cpu_trap);
+  visit(kSafety, "alarm_irq", f.safety.alarm_irq);
+  visit(kSafety, "halt_request", f.safety.halt_request);
+  visit(kIrq, "count", f.irq.count);
+  for (unsigned i = 0; i < f.irq.count; ++i) {
+    visit(kIrq, "raised.priority", f.irq.raised[i].priority);
+    visit(kIrq, "raised.target", f.irq.raised[i].target);
+  }
+}
+
+/// FNV-1a of `f`'s fields continued from `h`.
+u64 hash_fields(u64 h, const mcds::ObservationFrame& f) {
+  walk_frame_fields(f, [&h](unsigned, const char*, u64 v) { h = fnv1a(h, v); });
+  return h;
+}
+
 }  // namespace
 
 std::vector<FrameField> enumerate_frame_fields(
     const mcds::ObservationFrame& f) {
   std::vector<FrameField> out;
   out.reserve(96);
-  core_fields("tc", f.tc, out);
-  core_fields("pcp", f.pcp, out);
-  const auto add = [&](const char* component, const char* field, u64 v) {
-    out.push_back(FrameField{component, field, v});
-  };
-  add("sri", "any_grant", f.sri.any_grant);
-  add("sri", "granted_master", static_cast<u64>(f.sri.granted_master));
-  add("sri", "granted_slave", f.sri.granted_slave);
-  add("sri", "granted_addr", f.sri.granted_addr);
-  add("sri", "granted_write", f.sri.granted_write);
-  add("sri", "contention", f.sri.contention);
-  add("sri", "waiting_masters", f.sri.waiting_masters);
-  add("sri", "error_response", f.sri.error_response);
-  add("sri", "error_master", static_cast<u64>(f.sri.error_master));
-  add("sri", "completed_count", f.sri.completed_count);
-  for (unsigned i = 0; i < f.sri.completed_count; ++i) {
-    const bus::CompletedTransaction& t = f.sri.completed[i];
-    add("sri", "completed.master", static_cast<u64>(t.master));
-    add("sri", "completed.slave", t.slave);
-    add("sri", "completed.addr", t.addr);
-    add("sri", "completed.write", t.write);
-    add("sri", "completed.fetch", t.fetch);
-    add("sri", "completed.issued_at", t.issued_at);
-    add("sri", "completed.granted_at", t.granted_at);
-  }
-  add("flash", "code_access", f.flash.code_access);
-  add("flash", "code_buffer_hit", f.flash.code_buffer_hit);
-  add("flash", "data_access", f.flash.data_access);
-  add("flash", "data_buffer_hit", f.flash.data_buffer_hit);
-  add("flash", "array_conflict", f.flash.array_conflict);
-  add("dma", "transfer", f.dma.transfer);
-  add("dma", "channel", f.dma.channel);
-  add("safety", "ecc_corrected", f.safety.ecc_corrected);
-  add("safety", "ecc_uncorrectable", f.safety.ecc_uncorrectable);
-  add("safety", "bus_error", f.safety.bus_error);
-  add("safety", "wdt_timeout", f.safety.wdt_timeout);
-  add("safety", "cpu_trap", f.safety.cpu_trap);
-  add("safety", "alarm_irq", f.safety.alarm_irq);
-  add("safety", "halt_request", f.safety.halt_request);
-  add("irq", "count", f.irq.count);
-  for (unsigned i = 0; i < f.irq.count; ++i) {
-    add("irq", "raised.priority", f.irq.raised[i].priority);
-    add("irq", "raised.target", f.irq.raised[i].target);
-  }
+  walk_frame_fields(f, [&out](unsigned component, const char* field, u64 v) {
+    out.push_back(FrameField{kComponents[component], field, v});
+  });
   return out;
 }
 
 u64 frame_fingerprint(const mcds::ObservationFrame& f) {
-  u64 h = kFnvOffset;
-  for (const FrameField& field : enumerate_frame_fields(f)) {
-    h = fnv1a(h, field.value);
-  }
-  return h;
-}
-
-u64 component_fingerprint(const mcds::ObservationFrame& f,
-                          const char* component) {
-  u64 h = kFnvOffset;
-  const std::string_view want{component};
-  for (const FrameField& field : enumerate_frame_fields(f)) {
-    if (field.component == want) h = fnv1a(h, field.value);
-  }
-  return h;
+  return hash_fields(kFnvOffset, f);
 }
 
 // ---- FrameStreamHasher ---------------------------------------------------
 
 void FrameStreamHasher::observe(const mcds::ObservationFrame& frame) {
   ++frames;
-  hash = fnv1a(hash, frame.cycle);
-  for (const FrameField& field : enumerate_frame_fields(frame)) {
-    hash = fnv1a(hash, field.value);
-  }
+  hash = hash_fields(fnv1a(hash, frame.cycle), frame);
 }
 
 void FrameStreamHasher::skip_idle(const mcds::ObservationFrame& idle, u64 n) {
   frames += n;
-  hash = fnv1a(hash, n);
-  hash = fnv1a(hash, idle.cycle);
-  for (const FrameField& field : enumerate_frame_fields(idle)) {
-    hash = fnv1a(hash, field.value);
-  }
+  hash = hash_fields(fnv1a(fnv1a(hash, n), idle.cycle), idle);
 }
 
 // ---- WindowedFrameDigest -------------------------------------------------
@@ -192,9 +185,10 @@ void WindowedFrameDigest::add_run(const mcds::ObservationFrame& frame, u64 fp,
     if (run_len_ != 0 && run_fp_ != fp) flush_run();
     if (run_len_ == 0) {
       run_fp_ = fp;
-      for (unsigned c = 0; c < kNumComponents; ++c) {
-        run_component_fp_[c] = component_fingerprint(frame, kComponents[c]);
-      }
+      run_component_fp_.fill(kFnvOffset);
+      walk_frame_fields(frame, [this](unsigned c, const char*, u64 v) {
+        run_component_fp_[c] = fnv1a(run_component_fp_[c], v);
+      });
     }
     run_len_ += take;
     window_frames_ += take;

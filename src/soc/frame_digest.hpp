@@ -37,19 +37,15 @@ struct FrameField {
 
 /// Enumerate every architectural field of `f` except the cycle stamp,
 /// in a fixed order. Fields are enumerated explicitly (never memcmp'd)
-/// so struct padding can never fake a match or a mismatch. The replay
-/// divergence reporter walks this same list to name the first differing
+/// so struct padding can never fake a match or a mismatch. The digests
+/// below hash the same walk without building this list; the replay
+/// divergence reporter reads it to name the first differing
 /// component/field.
 std::vector<FrameField> enumerate_frame_fields(const mcds::ObservationFrame& f);
 
 /// FNV-1a fingerprint of one frame, cycle stamp excluded — the
 /// position-independent per-cycle value the canonical digests build on.
 u64 frame_fingerprint(const mcds::ObservationFrame& f);
-
-/// Fingerprint of one component's fields only ("tc", "sri", ...); used
-/// for the per-window component sub-digests in replay goldens.
-u64 component_fingerprint(const mcds::ObservationFrame& f,
-                          const char* component);
 
 /// Exact stream digest (includes frame.cycle). The historical test hash:
 /// attach as an observer and compare `hash`/`frames` between runs made
@@ -96,8 +92,7 @@ class WindowedFrameDigest final : public FrameObserver {
   const std::vector<Window>& finish();
 
   /// Windows flushed so far (the currently open window is not included
-  /// until the stream crosses its boundary or finish() is called). The
-  /// replay oracle verifies these online while the run is still going.
+  /// until the stream crosses its boundary or finish() is called).
   const std::vector<Window>& windows() const { return windows_; }
 
   /// Digest over all window digests (order-sensitive) — the one-value
