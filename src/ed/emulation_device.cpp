@@ -1,7 +1,5 @@
 #include "ed/emulation_device.hpp"
 
-#include <cstring>
-
 #include "soc/tracer.hpp"
 #include "telemetry/host_profiler.hpp"
 #include "telemetry/metrics.hpp"
@@ -111,59 +109,6 @@ Result<std::vector<mcds::TraceMessage>> EmulationDevice::download_trace() {
   mcds_.flush(soc_.cycle());  // final sync: outstanding instruction counts
   emem_.download_all();
   return mcds::TraceDecoder::decode(emem_.host_units());
-}
-
-namespace {
-// Section tag for the Emulation Extension Chip state appended after the
-// product chip's own sections.
-constexpr u32 kTagEec = 0x20434545;  // "EEC "
-}  // namespace
-
-Result<soc::Snapshot> EmulationDevice::save_snapshot() const {
-  if (!soc_.quiescent()) {
-    return error(StatusCode::kFailedPrecondition,
-                 "snapshot requires a quiescent product chip");
-  }
-  snapshot::Writer w;
-  soc_.save_state(w);
-
-  w.begin_section(kTagEec);
-  mcds_.save_state(w);
-  emem_.save_state(w);
-  mli_.save_state(w);
-  u64 budget_bits = 0;
-  static_assert(sizeof budget_bits == sizeof drain_budget_);
-  std::memcpy(&budget_bits, &drain_budget_, sizeof budget_bits);
-  w.put_u64(budget_bits);
-  w.put_u64(dap_drained_);
-  w.end_section();
-
-  soc::Snapshot snap;
-  snap.shape_fingerprint = soc_.config().shape_fingerprint();
-  snap.cycle = soc_.cycle();
-  snap.payload = w.take();
-  return snap;
-}
-
-Status EmulationDevice::restore_snapshot(const soc::Snapshot& snap) {
-  if (snap.shape_fingerprint != soc_.config().shape_fingerprint()) {
-    return error(StatusCode::kFailedPrecondition,
-                 "snapshot was captured on a different architecture shape");
-  }
-  snapshot::Reader r(snap.payload);
-  soc_.restore_state(r);
-
-  r.enter_section(kTagEec);
-  mcds_.restore_state(r);
-  emem_.restore_state(r);
-  mli_.restore_state(r);
-  u64 budget_bits = r.get_u64();
-  std::memcpy(&drain_budget_, &budget_bits, sizeof drain_budget_);
-  dap_drained_ = r.get_u64();
-  r.leave_section();
-
-  if (r.ok() && !r.at_end()) r.fail("trailing bytes after last section");
-  return r.status();
 }
 
 }  // namespace audo::ed

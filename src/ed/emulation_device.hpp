@@ -73,20 +73,6 @@ class EmulationDevice : private soc::FrameSink {
   /// host-side unit stream into messages.
   Result<std::vector<mcds::TraceMessage>> download_trace();
 
-  // ---- snapshot / restore --------------------------------------------
-
-  /// Capture the whole device — product chip plus the EEC side (MCDS
-  /// scheduling and counter bank, EMEM buffers, MLI streaming position,
-  /// DAP drain accounting) — into one image. Requires the product chip
-  /// to be quiescent (soc::Soc::save_snapshot); a counter group captured
-  /// mid-resolution window resumes at the exact basis position.
-  Result<soc::Snapshot> save_snapshot() const;
-
-  /// Restore an image captured by save_snapshot() into this device (same
-  /// SoC shape, same MCDS configuration, same loaded program). See
-  /// soc::Soc::restore_snapshot for the failure contract.
-  Status restore_snapshot(const soc::Snapshot& snap);
-
   // ---- host telemetry ------------------------------------------------
 
   /// Register the product chip's components plus the EEC side ("mcds",

@@ -44,20 +44,6 @@ class MliBridge final : public periph::SfrDevice {
 
   u64 bytes_popped() const { return bytes_popped_; }
 
-  /// Snapshot support: overlay index and POP_BYTE streaming position.
-  void save_state(snapshot::Writer& w) const {
-    w.put_u32(overlay_index_);
-    w.put_u64(unit_index_);
-    w.put_u64(byte_index_);
-    w.put_u64(bytes_popped_);
-  }
-  void restore_state(snapshot::Reader& r) {
-    overlay_index_ = r.get_u32();
-    unit_index_ = r.get_u64();
-    byte_index_ = r.get_u64();
-    bytes_popped_ = r.get_u64();
-  }
-
  private:
   mcds::Mcds* mcds_;
   emem::Emem* emem_;

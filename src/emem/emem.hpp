@@ -72,41 +72,6 @@ class Emem final : public mcds::TraceSink {
   void register_metrics(telemetry::MetricsRegistry& registry,
                         std::string component) const;
 
-  /// Snapshot support: buffered and host-side trace units, drain
-  /// position, statistics and the calibration overlay.
-  void save_state(snapshot::Writer& w) const {
-    w.put_u32(static_cast<u32>(buffer_.size()));
-    for (const mcds::EncodedMessage& m : buffer_) w.put_bytes(m.bytes);
-    w.put_u64(occupancy_);
-    w.put_u64(partial_drained_);
-    w.put_u32(static_cast<u32>(host_units_.size()));
-    for (const mcds::EncodedMessage& m : host_units_) w.put_bytes(m.bytes);
-    w.put_u64(pushed_bytes_);
-    w.put_u64(pushed_messages_);
-    w.put_u64(dropped_);
-    w.put_u64(overwritten_);
-    overlay_.save_state(w);
-  }
-  void restore_state(snapshot::Reader& r) {
-    buffer_.clear();
-    const u32 buffered = r.get_u32();
-    for (u32 i = 0; i < buffered && r.ok(); ++i) {
-      buffer_.push_back(mcds::EncodedMessage{r.get_bytes()});
-    }
-    occupancy_ = r.get_u64();
-    partial_drained_ = r.get_u64();
-    host_units_.clear();
-    const u32 hosted = r.get_u32();
-    for (u32 i = 0; i < hosted && r.ok(); ++i) {
-      host_units_.push_back(mcds::EncodedMessage{r.get_bytes()});
-    }
-    pushed_bytes_ = r.get_u64();
-    pushed_messages_ = r.get_u64();
-    dropped_ = r.get_u64();
-    overwritten_ = r.get_u64();
-    overlay_.restore_state(r);
-  }
-
   // ---- calibration overlay ----
   mem::MemArray& overlay() { return overlay_; }
 

@@ -197,40 +197,4 @@ void CounterBank::reset() {
   samples_.clear();
 }
 
-void CounterBank::save_state(snapshot::Writer& w) const {
-  w.put_u32(static_cast<u32>(groups_.size()));
-  for (const Group& g : groups_) {
-    w.put_bool(g.armed);
-    w.put_u32(basis_count(g));
-    w.put_u32(static_cast<u32>(g.held.size()));
-    for (u32 count : counts(g)) w.put_u32(count);
-  }
-  w.put_u32(static_cast<u32>(flags_.size()));
-  for (bool f : flags_) w.put_bool(f);
-}
-
-void CounterBank::restore_state(snapshot::Reader& r) {
-  if (r.get_u32() != groups_.size() && r.ok()) {
-    r.fail("counter group count mismatch");
-    return;
-  }
-  for (Group& g : groups_) {
-    g.armed = r.get_bool();
-    const u32 basis = r.get_u32();
-    std::vector<u32> window(g.held.size());
-    if (r.get_u32() != window.size() && r.ok()) {
-      r.fail("counter accumulator count mismatch");
-      return;
-    }
-    for (u32& count : window) count = r.get_u32();
-    set_window(g, basis, &window);
-  }
-  if (r.get_u32() != flags_.size() && r.ok()) {
-    r.fail("counter flag count mismatch");
-    return;
-  }
-  for (usize i = 0; i < flags_.size(); ++i) flags_[i] = r.get_bool();
-  samples_.clear();
-}
-
 }  // namespace audo::mcds

@@ -19,7 +19,6 @@
 #include <string>
 #include <vector>
 
-#include "common/snapshot.hpp"
 #include "common/types.hpp"
 #include "mcds/events.hpp"
 
@@ -100,12 +99,6 @@ class CounterBank {
   const std::vector<bool>& flags() const { return flags_; }
 
   void reset();
-
-  /// Snapshot support: arming, mid-window accumulators and threshold
-  /// flags — a group captured mid-resolution resumes at the exact basis
-  /// position. Per-step samples are transient and cleared.
-  void save_state(snapshot::Writer& w) const;
-  void restore_state(snapshot::Reader& r);
 
  private:
   // A group's open measurement window. The counters are running event

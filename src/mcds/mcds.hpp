@@ -124,49 +124,6 @@ class Mcds {
   void register_metrics(telemetry::MetricsRegistry& registry,
                         std::string component) const;
 
-  /// Snapshot support: trace scheduling, FSM state, counter bank,
-  /// encoder anchors and statistics — a restored MCDS continues the
-  /// exact same message stream, including a counter group captured
-  /// mid-resolution window. Comparator hits are recomputed per frame.
-  void save_state(snapshot::Writer& w) const {
-    w.put_bool(trace_enabled_);
-    w.put_bool(trace_frozen_);
-    w.put_u64(next_sync_);
-    w.put_bool(overflow_pending_);
-    for (u32 v : pending_instrs_) w.put_u32(v);
-    for (Addr a : last_data_addr_) w.put_u32(a);
-    for (Addr a : next_pc_hint_) w.put_u32(a);
-    for (bool b : anchored_) w.put_bool(b);
-    w.put_u64(trigger_out_pulses_);
-    w.put_u64(last_trigger_out_);
-    w.put_bool(break_requested_);
-    w.put_u64(break_cycle_);
-    w.put_u64(dropped_);
-    for (u64 v : kind_counts_) w.put_u64(v);
-    w.put_u8(fsm_.state());
-    counters_.save_state(w);
-    encoder_.save_state(w);
-  }
-  void restore_state(snapshot::Reader& r) {
-    trace_enabled_ = r.get_bool();
-    trace_frozen_ = r.get_bool();
-    next_sync_ = r.get_u64();
-    overflow_pending_ = r.get_bool();
-    for (u32& v : pending_instrs_) v = r.get_u32();
-    for (Addr& a : last_data_addr_) a = r.get_u32();
-    for (Addr& a : next_pc_hint_) a = r.get_u32();
-    for (bool& b : anchored_) b = r.get_bool();
-    trigger_out_pulses_ = r.get_u64();
-    last_trigger_out_ = r.get_u64();
-    break_requested_ = r.get_bool();
-    break_cycle_ = r.get_u64();
-    dropped_ = r.get_u64();
-    for (u64& v : kind_counts_) v = r.get_u64();
-    fsm_.set_state(r.get_u8());
-    counters_.restore_state(r);
-    encoder_.restore_state(r);
-  }
-
  private:
   void emit(TraceMessage msg);
   void emit_sync(MsgSource source, Cycle now);

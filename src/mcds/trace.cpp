@@ -118,7 +118,6 @@ EncodedMessage TraceEncoder::encode(const TraceMessage& msg) {
       break;
   }
 
-  ++messages_;
   bits_ += w.bit_count();
   bytes_ += w.byte_count();
   return EncodedMessage{w.take()};

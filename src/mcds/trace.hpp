@@ -16,7 +16,6 @@
 #include <vector>
 
 #include "common/bitstream.hpp"
-#include "common/snapshot.hpp"
 #include "common/status.hpp"
 #include "common/types.hpp"
 
@@ -89,31 +88,6 @@ class TraceEncoder {
   u64 bytes_encoded() const { return bytes_; }
   u64 bits_encoded() const { return bits_; }
 
-  /// Snapshot support: anchors and encoding counters, so a restored
-  /// encoder continues the exact same delta-encoded byte stream.
-  void save_state(snapshot::Writer& w) const {
-    for (const Anchor& a : anchors_) {
-      w.put_bool(a.valid);
-      w.put_u64(a.cycle);
-      w.put_u32(a.pc);
-      w.put_u32(a.data_addr);
-    }
-    w.put_u64(messages_);
-    w.put_u64(bytes_);
-    w.put_u64(bits_);
-  }
-  void restore_state(snapshot::Reader& r) {
-    for (Anchor& a : anchors_) {
-      a.valid = r.get_bool();
-      a.cycle = r.get_u64();
-      a.pc = r.get_u32();
-      a.data_addr = r.get_u32();
-    }
-    messages_ = r.get_u64();
-    bytes_ = r.get_u64();
-    bits_ = r.get_u64();
-  }
-
  private:
   struct Anchor {
     bool valid = false;
@@ -123,7 +97,6 @@ class TraceEncoder {
   };
 
   Anchor anchors_[3];  // per MsgSource; kChip uses the cycle anchor only
-  u64 messages_ = 0;
   u64 bytes_ = 0;
   u64 bits_ = 0;
 };

@@ -141,8 +141,6 @@ class StateMachine {
 
   u8 state() const { return state_; }
   void reset() { state_ = config_.initial; }
-  /// Snapshot restore: place the machine in a previously captured state.
-  void set_state(u8 state) { state_ = state; }
 
  private:
   StateMachineConfig config_;

@@ -1,8 +1,8 @@
 // The versioned, checksummed container for a full Soc state image.
 //
 // A Snapshot frames the raw byte payload produced by Soc::save_snapshot
-// (or EmulationDevice::save_snapshot) with enough metadata to reject
-// anything that is not a faithful image for this exact architecture:
+// with enough metadata to reject anything that is not a faithful image
+// for this exact architecture:
 //
 //   magic      "ADSN"      — file-type check
 //   version    u32         — format revision; mismatches are rejected,

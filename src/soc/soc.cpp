@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "common/snapshot.hpp"
 #include "fault/fault_injector.hpp"
 #include "mem/memory_map.hpp"
 #include "soc/tracer.hpp"
@@ -911,16 +912,6 @@ Result<Snapshot> Soc::save_snapshot() const {
                  "pipelines and fabric drained)");
   }
   snapshot::Writer w;
-  save_state(w);
-
-  Snapshot snap;
-  snap.shape_fingerprint = config_.shape_fingerprint();
-  snap.cycle = cycle_;
-  snap.payload = w.take();
-  return snap;
-}
-
-void Soc::save_state(snapshot::Writer& w) const {
   w.begin_section(kTagTop);
   w.put_u64(cycle_);
   w.put_bool(idle_deadlock_);
@@ -978,6 +969,12 @@ void Soc::save_state(snapshot::Writer& w) const {
   w.put_bool(injector_ != nullptr);
   if (injector_ != nullptr) injector_->save_state(w);
   w.end_section();
+
+  Snapshot snap;
+  snap.shape_fingerprint = config_.shape_fingerprint();
+  snap.cycle = cycle_;
+  snap.payload = w.take();
+  return snap;
 }
 
 Status Soc::restore_snapshot(const Snapshot& snap) {
@@ -986,12 +983,6 @@ Status Soc::restore_snapshot(const Snapshot& snap) {
                  "snapshot was captured on a different architecture shape");
   }
   snapshot::Reader r(snap.payload);
-  restore_state(r);
-  if (r.ok() && !r.at_end()) r.fail("trailing bytes after last section");
-  return r.status();
-}
-
-void Soc::restore_state(snapshot::Reader& r) {
   // Memory contents are about to be replaced wholesale; every predecoded
   // superblock may describe code that no longer exists.
   superblocks_.invalidate_all();
@@ -1068,8 +1059,10 @@ void Soc::restore_state(snapshot::Reader& r) {
   // uninterrupted run would have, since no event fired before capture.
   r.leave_section();
 
+  if (r.ok() && !r.at_end()) r.fail("trailing bytes after last section");
   // Re-publish a frame consistent with the restored quiescent machine.
   if (r.ok()) frame_ = make_idle_frame();
+  return r.status();
 }
 
 }  // namespace audo::soc

@@ -11,7 +11,6 @@
 
 #include "bus/crossbar.hpp"
 #include "cache/cache.hpp"
-#include "common/snapshot.hpp"
 #include "common/status.hpp"
 #include "cpu/cpu.hpp"
 #include "fault/safety_monitor.hpp"
@@ -290,16 +289,6 @@ class Soc {
   /// be discarded — corrupt or wrong-version images never get this far
   /// (Snapshot::deserialize validates before any state is touched).
   Status restore_snapshot(const Snapshot& snap);
-
-  /// Composable flavour of save_snapshot(): write the machine sections
-  /// into an existing Writer so a wrapper (the Emulation Device) can
-  /// append its own sections to the same image. Precondition: quiescent().
-  void save_state(snapshot::Writer& w) const;
-
-  /// Composable flavour of restore_snapshot(): consume the machine
-  /// sections from `r` (shape/quiescence contract as restore_snapshot;
-  /// the caller checks the shape fingerprint and end-of-payload).
-  void restore_state(snapshot::Reader& r);
 
   Cycle cycle() const { return cycle_; }
   const mcds::ObservationFrame& frame() const { return frame_; }

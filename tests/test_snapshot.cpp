@@ -1,15 +1,14 @@
 // Snapshot / restore / resume tests (ISSUE 8): loader hardening against
-// mutated images, Soc and Emulation-Device restore bit-identity vs
-// uninterrupted runs, campaign warm-fork equivalence for any job count,
-// manifest journaling + crash resume, and the per-scenario robustness
-// policy (budget / timeout / retry) plumbing.
+// mutated images, Soc restore bit-identity vs uninterrupted runs,
+// campaign warm-fork equivalence for any job count, manifest journaling
+// + crash resume, and the per-scenario robustness policy (budget /
+// timeout / retry) plumbing.
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <string>
 #include <vector>
 
-#include "ed/emulation_device.hpp"
 #include "helpers.hpp"
 #include "host/campaign_manifest.hpp"
 #include "optimize/fault_campaign.hpp"
@@ -224,78 +223,6 @@ TEST(SnapshotRestore, SaveRequiresQuiescence) {
   soc.run(501);
   ASSERT_FALSE(soc.quiescent());
   EXPECT_FALSE(soc.save_snapshot().is_ok());
-}
-
-TEST(SnapshotRestore, EmulationDeviceResumesMidTraceWindow) {
-  const workload::EngineWorkload w = idle_engine(2);
-  const soc::SocConfig config;
-  mcds::McdsConfig trace;
-  trace.program_trace = true;
-  trace.data_trace = true;
-  trace.irq_trace = true;
-  trace.sync_interval_cycles = 512;
-  ed::EdConfig edc;
-  edc.emem.size_bytes = 512 * 1024;
-  edc.emem.overlay_bytes = 128 * 1024;
-
-  const auto setup = [&](ed::EmulationDevice& ed) {
-    ASSERT_TRUE(ed.load(w.program).is_ok());
-    workload::configure_engine(ed.soc(), w.options);
-    ed.reset(w.tc_entry, w.pcp_entry);
-  };
-
-  ed::EmulationDevice uninterrupted(config, trace, edc);
-  setup(uninterrupted);
-  uninterrupted.run(400'000);
-  ASSERT_TRUE(uninterrupted.soc().tc().halted());
-  auto trace_a = uninterrupted.download_trace();
-  ASSERT_TRUE(trace_a.is_ok());
-
-  // Snapshot at a quiescent cycle that is NOT a sync-window boundary, so
-  // the MCDS counter groups and sync schedule are captured mid-window.
-  ed::EmulationDevice donor(config, trace, edc);
-  setup(donor);
-  Cycle at = 0;
-  for (Cycle want = 1'500;; want = donor.soc().cycle() + 1) {
-    while (!(donor.soc().cycle() >= want && donor.soc().quiescent()) &&
-           !donor.soc().tc().halted()) {
-      donor.step();
-    }
-    ASSERT_FALSE(donor.soc().tc().halted());
-    if (donor.soc().cycle() % trace.sync_interval_cycles != 0) {
-      at = donor.soc().cycle();
-      break;
-    }
-  }
-  auto snap = donor.save_snapshot();
-  ASSERT_TRUE(snap.is_ok()) << snap.status().to_string();
-
-  ed::EmulationDevice resumed(config, trace, edc);
-  setup(resumed);
-  ASSERT_TRUE(resumed.restore_snapshot(snap.value()).is_ok());
-  EXPECT_EQ(resumed.soc().cycle(), at);
-  resumed.run(400'000 - at);
-  ASSERT_TRUE(resumed.soc().tc().halted());
-
-  expect_same_architectural_state(uninterrupted.soc(), resumed.soc());
-
-  // The downloaded trace streams are message-for-message identical —
-  // the EEC side (schedules, counters, EMEM, MLI) resumed exactly.
-  auto trace_b = resumed.download_trace();
-  ASSERT_TRUE(trace_b.is_ok());
-  ASSERT_EQ(trace_a.value().size(), trace_b.value().size());
-  for (usize i = 0; i < trace_a.value().size(); ++i) {
-    const mcds::TraceMessage& ma = trace_a.value()[i];
-    const mcds::TraceMessage& mb = trace_b.value()[i];
-    ASSERT_EQ(ma.kind, mb.kind) << "message " << i;
-    ASSERT_EQ(ma.source, mb.source) << "message " << i;
-    ASSERT_EQ(ma.cycle, mb.cycle) << "message " << i;
-    ASSERT_EQ(ma.pc, mb.pc) << "message " << i;
-    ASSERT_EQ(ma.instr_count, mb.instr_count) << "message " << i;
-    ASSERT_EQ(ma.addr, mb.addr) << "message " << i;
-    ASSERT_EQ(ma.value, mb.value) << "message " << i;
-    ASSERT_EQ(ma.counts, mb.counts) << "message " << i;
-  }
 }
 
 // ---- warm-fork campaigns ---------------------------------------------
