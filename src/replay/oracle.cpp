@@ -1,15 +1,13 @@
 #include "replay/oracle.hpp"
 
 #include <algorithm>
-#include <functional>
-#include <optional>
+#include <limits>
 #include <sstream>
 
 #include "common/json.hpp"
 #include "optimize/fault_campaign.hpp"
 #include "profiling/dag.hpp"
 #include "profiling/session.hpp"
-#include "soc/snapshot.hpp"
 #include "soc/soc.hpp"
 
 namespace audo::replay {
@@ -104,116 +102,9 @@ struct FrameRun {
   explicit FrameRun(u32 bits) : digest(bits) {}
 };
 
-/// Rolling quiescent-boundary checkpoints from the chunked test run.
-struct CheckpointStore {
-  struct Entry {
-    u64 cycle;
-    soc::Snapshot snap;
-  };
-  std::vector<Entry> entries;  // ascending cycle
-
-  const soc::Snapshot* best_at_or_before(u64 cycle) const {
-    const soc::Snapshot* best = nullptr;
-    for (const Entry& e : entries) {
-      if (e.cycle <= cycle) best = &e.snap;
-    }
-    return best;
-  }
-
-  /// Drop entries older than the newest one at or below `keep_from` —
-  /// windows before it are verified, so nothing will restore there.
-  void prune(u64 keep_from) {
-    usize keep = 0;
-    for (usize i = 0; i < entries.size(); ++i) {
-      if (entries[i].cycle <= keep_from) keep = i;
-    }
-    if (keep > 0) entries.erase(entries.begin(), entries.begin() + keep);
-  }
-};
-
-/// Online per-window verdict; returning false stops the run.
-using WindowCheck =
-    std::function<bool(const soc::WindowedFrameDigest::Window&)>;
-
-/// Plain-soc replay: chunked at window boundaries so flushed windows can
-/// be verified while running and a quiescent snapshot can be saved at
-/// each boundary. Chunking is invisible to the simulation (the budget
-/// identity the exec-tier tests pin), so the digests are the same as one
-/// uninterrupted run.
-Status run_soc(const ScenarioSpec& scenario, const BuiltWorkload& w,
-               const soc::SocConfig& cfg, u64 run_cycles, FrameRun& out,
-               CheckpointStore* checkpoints, const WindowCheck& check,
-               soc::FrameObserver* extra, bool* stopped_early) {
-  soc::Soc soc(cfg);
-  if (Status s = soc.load(w.program); !s.is_ok()) return s;
-  configure_workload(soc, scenario);
-  soc.add_frame_observer(&out.digest);
-  if (extra != nullptr) soc.add_frame_observer(extra);
-  soc.reset(w.tc_entry, w.pcp_entry);
-
-  const u64 win = u64{1} << out.digest.window_bits();
-  usize verified = 0;
-  bool stop = false;
-  const auto verify_flushed = [&](const std::vector<
-                                  soc::WindowedFrameDigest::Window>& ws) {
-    while (verified < ws.size() && !stop) {
-      if (check && !check(ws[verified])) {
-        stop = true;
-        break;
-      }
-      ++verified;
-    }
-  };
-
-  while (!stop && soc.cycle() < run_cycles && !soc.tc().halted()) {
-    const u64 boundary = ((soc.cycle() / win) + 1) * win;
-    const u64 target = std::min(boundary, run_cycles);
-    const u64 ran = soc.run(target - soc.cycle());
-    verify_flushed(out.digest.windows());
-    if (checkpoints != nullptr && !stop) {
-      checkpoints->prune(static_cast<u64>(verified) * win);
-      if (soc.cycle() == boundary && soc.cycle() < run_cycles &&
-          !soc.tc().halted() && soc.quiescent()) {
-        auto snap = soc.save_snapshot();
-        if (snap.is_ok()) {
-          checkpoints->entries.push_back(
-              {soc.cycle(), std::move(snap).value()});
-        }
-      }
-    }
-    if (ran == 0) break;  // idle deadlock: nothing further will happen
-  }
-  if (!stop) verify_flushed(out.digest.finish());
-
-  out.cycles = soc.cycle();
-  out.instructions = soc.tc().retired();
-  if (stopped_early != nullptr) *stopped_early = stop;
-  return Status::ok();
-}
-
-/// Re-step from the nearest checkpoint (or cold from reset) up to
-/// `run_cycles`, feeding `cap` — the frame-by-frame half of bisection.
-Status capture_soc(const ScenarioSpec& scenario, const BuiltWorkload& w,
-                   const soc::SocConfig& cfg, u64 run_cycles,
-                   const soc::Snapshot* boot, WindowCapture& cap) {
-  soc::Soc soc(cfg);
-  if (Status s = soc.load(w.program); !s.is_ok()) return s;
-  configure_workload(soc, scenario);
-  soc.add_frame_observer(&cap);
-  soc.reset(w.tc_entry, w.pcp_entry);
-  if (boot != nullptr) {
-    if (Status s = soc.restore_snapshot(*boot); !s.is_ok()) return s;
-  }
-  while (soc.cycle() < run_cycles && !soc.tc().halted()) {
-    if (soc.run(run_cycles - soc.cycle()) == 0) break;
-  }
-  return Status::ok();
-}
-
 /// Session replay: the golden carried MCDS instrumentation, so rebuild
 /// the same ProfilingSession (trace digests must compare like-for-like)
-/// and digest frames from its SoC. One uninterrupted run — snapshot
-/// checkpoints don't apply here.
+/// and digest frames from its SoC.
 Status run_session(const ScenarioSpec& scenario, const BuiltWorkload& w,
                    const soc::SocConfig& cfg, u64 run_cycles, FrameRun& out,
                    soc::FrameObserver* extra) {
@@ -238,13 +129,37 @@ Status run_session(const ScenarioSpec& scenario, const BuiltWorkload& w,
   return Status::ok();
 }
 
+/// One uninterrupted run of the scenario from reset under `cfg`, for at
+/// most `run_cycles`: every frame goes to `out`'s digest and to `extra`.
+/// The test run, the bisection's reference run and its test-side re-run
+/// all come through here, so they differ only in config and budget.
+Status run_frames(const ScenarioSpec& scenario, const BuiltWorkload& w,
+                  const soc::SocConfig& cfg, u64 run_cycles, FrameRun& out,
+                  soc::FrameObserver* extra) {
+  if (scenario.session.enabled) {
+    return run_session(scenario, w, cfg, run_cycles, out, extra);
+  }
+  soc::Soc soc(cfg);
+  if (Status s = soc.load(w.program); !s.is_ok()) return s;
+  configure_workload(soc, scenario);
+  soc.add_frame_observer(&out.digest);
+  if (extra != nullptr) soc.add_frame_observer(extra);
+  soc.reset(w.tc_entry, w.pcp_entry);
+  // A zero budget runs nothing, as EmulationDevice::run has it for
+  // sessions (Soc::run would read 0 as its default budget).
+  if (run_cycles > 0) soc.run(run_cycles);
+  out.digest.finish();
+  out.cycles = soc.cycle();
+  out.instructions = soc.tc().retired();
+  return Status::ok();
+}
+
 /// Localize the divergence inside golden-window position `bad`: verify
 /// the reference run still reproduces the golden there, re-step the
 /// window on both machines and walk to the first differing cycle.
 Status bisect_window(const ReplaySpec& spec, const OracleOptions& opts,
                      const soc::SocConfig& test_cfg, const BuiltWorkload& w,
-                     usize bad, const FrameRun& test,
-                     const CheckpointStore& checkpoints, Divergence& d) {
+                     usize bad, const FrameRun& test, Divergence& d) {
   const u32 bits = spec.digests.window_bits;
   const u64 win = u64{1} << bits;
   const auto& golden = spec.digests.windows;
@@ -271,13 +186,8 @@ Status bisect_window(const ReplaySpec& spec, const OracleOptions& opts,
   const u64 budget = d.window_end - 1;
   FrameRun ref(bits);
   WindowCapture ref_cap(d.window_start, d.window_end);
-  Status s = spec.scenario.session.enabled
-                 ? run_session(spec.scenario, w, spec.config, budget, ref,
-                               &ref_cap)
-                 : run_soc(spec.scenario, w, spec.config, budget, ref, nullptr,
-                           nullptr, &ref_cap, nullptr);
+  Status s = run_frames(spec.scenario, w, spec.config, budget, ref, &ref_cap);
   if (!s.is_ok()) return s;
-  ref.digest.finish();
   bool ref_ok = true;
   if (bad < golden.size()) {
     const auto& rws = ref.digest.windows();
@@ -293,20 +203,10 @@ Status bisect_window(const ReplaySpec& spec, const OracleOptions& opts,
     return Status::ok();
   }
 
-  // Test-side re-step: restore the nearest quiescent checkpoint when the
-  // chunked run saved one, otherwise re-run cold.
+  // Test side: the same run under the test config, cold from reset.
   WindowCapture test_cap(d.window_start, d.window_end);
-  if (spec.scenario.session.enabled) {
-    FrameRun scratch(bits);
-    s = run_session(spec.scenario, w, test_cfg, budget, scratch, &test_cap);
-  } else {
-    const soc::Snapshot* boot = checkpoints.best_at_or_before(windex * win);
-    if (boot != nullptr) {
-      d.checkpoint_used = true;
-      d.checkpoint_cycle = boot->cycle;
-    }
-    s = capture_soc(spec.scenario, w, test_cfg, budget, boot, test_cap);
-  }
+  FrameRun rerun(bits);
+  s = run_frames(spec.scenario, w, test_cfg, budget, rerun, &test_cap);
   if (!s.is_ok()) return s;
 
   // First divergent cycle: fingerprints differ, or exactly one of the
@@ -386,58 +286,30 @@ Status bisect_window(const ReplaySpec& spec, const OracleOptions& opts,
 Status frame_replay(const ReplaySpec& spec, const OracleOptions& opts,
                     const soc::SocConfig& cfg, const BuiltWorkload& w,
                     ReplayResult& result) {
-  const u32 bits = spec.digests.window_bits;
-  const auto& golden = spec.digests.windows;
-
-  FrameRun test(bits);
-  CheckpointStore checkpoints;
-  usize checked = 0;
-  std::optional<usize> bad;
-  const auto window_matches =
-      [&golden](usize i, const soc::WindowedFrameDigest::Window& wv) {
-        return i < golden.size() && wv.index == golden[i].index &&
-               wv.frames == golden[i].frames && wv.digest == golden[i].digest;
-      };
-
-  if (spec.scenario.session.enabled) {
-    Status s = run_session(spec.scenario, w, cfg, spec.scenario.run_cycles,
-                           test, nullptr);
-    if (!s.is_ok()) return s;
-    const auto& tws = test.digest.windows();
-    while (checked < tws.size()) {
-      if (!window_matches(checked, tws[checked])) {
-        bad = checked;
-        break;
-      }
-      ++checked;
-    }
-  } else {
-    const WindowCheck check =
-        [&](const soc::WindowedFrameDigest::Window& wv) {
-          if (!window_matches(checked, wv)) {
-            bad = checked;
-            return false;
-          }
-          ++checked;
-          return true;
-        };
-    bool stopped = false;
-    Status s = run_soc(spec.scenario, w, cfg, spec.scenario.run_cycles, test,
-                       &checkpoints, check, nullptr, &stopped);
-    if (!s.is_ok()) return s;
+  FrameRun test(spec.digests.window_bits);
+  if (Status s = run_frames(spec.scenario, w, cfg, spec.scenario.run_cycles,
+                            test, nullptr);
+      !s.is_ok()) {
+    return s;
   }
 
+  // The first window that differs from the golden, or that only one side
+  // has (a run that ended early or late), is the one to bisect.
+  const auto& golden = spec.digests.windows;
+  const auto& tws = test.digest.windows();
+  usize checked = 0;
+  while (checked < tws.size() && checked < golden.size() &&
+         tws[checked].index == golden[checked].index &&
+         tws[checked].frames == golden[checked].frames &&
+         tws[checked].digest == golden[checked].digest) {
+    ++checked;
+  }
   result.cycles = test.cycles;
   result.frames = test.digest.total_frames();
   result.windows_checked = checked;
-
-  if (!bad.has_value() && checked < golden.size()) {
-    // The test run ended early (produced fewer windows than the golden).
-    bad = checked;
-  }
-  if (bad.has_value()) {
+  if (checked < tws.size() || checked < golden.size()) {
     result.mismatches.push_back("windows");
-    return bisect_window(spec, opts, cfg, w, *bad, test, checkpoints,
+    return bisect_window(spec, opts, cfg, w, checked, test,
                          result.divergence);
   }
 
@@ -525,27 +397,41 @@ void run_campaign(const ReplaySpec& spec, const OracleOptions& opts,
 
 Status apply_mutation(soc::SocConfig& config, const std::string& knob,
                       u64 value) {
+  unsigned* field = nullptr;
+  bool* enabled = nullptr;
   if (knob == "flash_ws") {
-    config.pflash.wait_states = static_cast<unsigned>(value);
+    field = &config.pflash.wait_states;
   } else if (knob == "lmu_latency") {
-    config.lmu_latency = static_cast<unsigned>(value);
+    field = &config.lmu_latency;
   } else if (knob == "spr_latency") {
-    config.spr_slave_latency = static_cast<unsigned>(value);
+    field = &config.spr_slave_latency;
   } else if (knob == "dflash_read") {
-    config.dflash.read_latency = static_cast<unsigned>(value);
+    field = &config.dflash.read_latency;
   } else if (knob == "dflash_write") {
-    config.dflash.write_latency = static_cast<unsigned>(value);
+    field = &config.dflash.write_latency;
   } else if (knob == "icache") {
-    config.icache.enabled = value != 0;
+    enabled = &config.icache.enabled;
   } else if (knob == "dcache") {
-    config.dcache.enabled = value != 0;
+    enabled = &config.dcache.enabled;
   } else if (knob == "issue_width") {
-    config.tc_issue_width = static_cast<unsigned>(value);
+    field = &config.tc_issue_width;
   } else {
     return error(StatusCode::kInvalidArgument,
                  "unknown mutation knob '" + knob +
                      "' (flash_ws, lmu_latency, spr_latency, dflash_read, "
                      "dflash_write, icache, dcache, issue_width)");
+  }
+  const u64 max = enabled != nullptr ? 1 : std::numeric_limits<unsigned>::max();
+  if (value > max) {
+    return error(StatusCode::kInvalidArgument,
+                 "mutation " + knob + "=" + std::to_string(value) +
+                     " does not fit the field (at most " +
+                     std::to_string(max) + ")");
+  }
+  if (enabled != nullptr) {
+    *enabled = value != 0;
+  } else {
+    *field = static_cast<unsigned>(value);
   }
   if (!config.valid()) {
     return error(StatusCode::kInvalidArgument,
@@ -627,11 +513,6 @@ std::string ReplayResult::to_json() const {
     w.end_object();
     w.kv("cycle", divergence.cycle);
     w.kv("frame_missing", divergence.frame_missing);
-    w.key("checkpoint");
-    w.begin_object();
-    w.kv("used", divergence.checkpoint_used);
-    w.kv("cycle", divergence.checkpoint_cycle);
-    w.end_object();
     w.key("components");
     w.begin_array();
     for (const std::string& c : divergence.components) w.value(c);
@@ -705,11 +586,7 @@ std::string ReplayResult::format() const {
   if (d.kind == "frame") {
     os << "  first divergence: cycle " << d.cycle << " (window "
        << d.window_index << ", cycles " << d.window_start << ".."
-       << d.window_end - 1 << ")";
-    if (d.checkpoint_used) {
-      os << ", re-stepped from checkpoint at cycle " << d.checkpoint_cycle;
-    }
-    os << "\n";
+       << d.window_end - 1 << ")\n";
     if (d.frame_missing) {
       os << "  one run produced no frame at this cycle (earlier halt)\n";
     }

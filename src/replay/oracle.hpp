@@ -16,12 +16,11 @@
 //    and per-scenario outcome rows; the first differing scenario is
 //    reported.
 //
-// Reaching the divergent window is accelerated with soc::Snapshot
-// checkpoints: plain-soc replays run chunked at window boundaries,
-// saving a rolling checkpoint at each quiescent boundary, so the
-// frame-by-frame re-step restores the nearest checkpoint instead of
-// re-booting from reset. Session replays (MCDS instrumentation attached)
-// fall back to a cold re-run bounded at the divergent window's end.
+// Every frame replay, with or without a profiling session, is one
+// uninterrupted run whose windows are compared with the golden after it
+// ends. Bisection re-runs both sides cold from reset through the same
+// helper, each bounded at the divergent window's end: the reference
+// under the recorded config, the test under the replayed one.
 #pragma once
 
 #include <string>
@@ -32,7 +31,7 @@
 
 namespace audo::replay {
 
-inline constexpr const char* kDivergenceSchema = "trisim-divergence/1";
+inline constexpr const char* kDivergenceSchema = "trisim-divergence/2";
 
 struct OracleOptions {
   /// Host-knob overrides; empty string / negative = replay as recorded.
@@ -78,8 +77,6 @@ struct Divergence {
   u64 window_end = 0;    // one past the last cycle
   u64 cycle = 0;         // first divergent cycle (kind == "frame")
   bool frame_missing = false;
-  bool checkpoint_used = false;
-  u64 checkpoint_cycle = 0;
   std::vector<std::string> components;  // divergent component sub-digests
   std::vector<FieldDiff> fields;
   std::vector<ContextRow> context;
@@ -109,7 +106,7 @@ struct ReplayResult {
   std::vector<std::string> mismatches;
   Divergence divergence;
 
-  /// Structured divergence report (schema trisim-divergence/1).
+  /// Structured divergence report (schema kDivergenceSchema).
   std::string to_json() const;
   /// Human-readable verdict for the CLI.
   std::string format() const;
@@ -117,6 +114,8 @@ struct ReplayResult {
 
 /// Apply one mutation knob to a config. Knobs: flash_ws, lmu_latency,
 /// spr_latency, dflash_read, dflash_write, icache, dcache, issue_width.
+/// Rejects a value the knob's field cannot hold (above 2^32-1, or above 1
+/// for the cache switches) and one that makes the config invalid.
 Status apply_mutation(soc::SocConfig& config, const std::string& knob,
                       u64 value);
 

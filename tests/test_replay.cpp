@@ -1,10 +1,10 @@
 // Record/replay regression lab tests (ISSUE 10): ReplaySpec JSON
 // round-tripping and strict rejection of corrupt goldens, the
 // differential replay oracle passing bit-identically on honest reruns
-// under either exec tier and fast-forward setting, seeded architecture
-// mutations caught at the independently-verified first divergent cycle,
-// and snapshot-accelerated bisection restoring a quiescent checkpoint
-// instead of re-booting.
+// under either exec tier and fast-forward setting, and seeded
+// architecture mutations caught at the independently verified first
+// divergent cycle, on plain-Soc recordings and on a committed session
+// golden, early and late in the run.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -31,9 +31,9 @@ workload::EngineOptions busy_engine_options() {
 }
 
 // Idle-background engine with the CAN ring in the LMU: WFI park between
-// interrupts (quiescent checkpoints exist) and the first LMU access only
-// happens when the first CAN frame arrives (can_rx_period cycles in) —
-// an lmu_latency mutation therefore first diverges windows into the run.
+// interrupts, and the first LMU access only happens when the first CAN
+// frame arrives (can_rx_period cycles in) — an lmu_latency mutation
+// therefore first diverges windows into the run.
 workload::EngineOptions idle_lmu_engine_options() {
   workload::EngineOptions opt;
   opt.idle_background = true;
@@ -300,66 +300,89 @@ TEST(ReplayOracle, TransmissionGoldenReplays) {
 
 // ---- seeded mutations are caught at the right cycle --------------------
 
+// Both replay shapes: a plain-Soc recording, and a committed session
+// golden, whose replay rebuilds the ProfilingSession with MCDS attached.
 TEST(ReplayOracle, MutationCaughtAtIndependentlyVerifiedCycle) {
   replay::ScenarioSpec scenario;
   scenario.kind = "engine";
   scenario.engine = busy_engine_options();
   scenario.run_cycles = 30'000;
-  const soc::SocConfig cfg;
-  const replay::ReplaySpec spec = record_plain(cfg, scenario, 12);
+  const replay::ReplaySpec plain = record_plain({}, scenario, 12);
+  auto session = replay::ReplaySpec::from_file(std::string(AUDO_REPLAYS_DIR) +
+                                               "/engine_superblock.json");
+  ASSERT_TRUE(session.is_ok()) << session.status().to_string();
+  const replay::ReplaySpec& golden = session.value();
+  ASSERT_TRUE(golden.scenario.session.enabled);
 
-  replay::OracleOptions opts;
-  opts.mutations.emplace_back("flash_ws", 6);
-  auto run = replay::run_replay(spec, opts);
-  ASSERT_TRUE(run.is_ok());
-  const replay::ReplayResult& r = run.value();
-  ASSERT_FALSE(r.passed);
-  ASSERT_TRUE(r.divergence.found);
-  EXPECT_EQ(r.divergence.kind, "frame");
-  EXPECT_FALSE(r.divergence.fields.empty());
+  for (const replay::ReplaySpec* spec : {&plain, &golden}) {
+    SCOPED_TRACE(spec->scenario.session.enabled ? "session golden"
+                                                : "plain recording");
+    replay::OracleOptions opts;
+    opts.mutations.emplace_back("flash_ws", 6);
+    auto run = replay::run_replay(*spec, opts);
+    ASSERT_TRUE(run.is_ok());
+    const replay::ReplayResult& r = run.value();
+    ASSERT_FALSE(r.passed);
+    ASSERT_TRUE(r.divergence.found);
+    EXPECT_EQ(r.divergence.kind, "frame");
+    EXPECT_FALSE(r.divergence.fields.empty());
 
-  // Ground truth: two independent full-frame runs, first differing cycle.
-  soc::SocConfig mutated = cfg;
-  ASSERT_TRUE(replay::apply_mutation(mutated, "flash_ws", 6).is_ok());
-  const u64 want =
-      first_divergent_cycle(fingerprint_run(cfg, scenario),
-                            fingerprint_run(mutated, scenario));
-  ASSERT_NE(want, 0u);
-  EXPECT_EQ(r.divergence.cycle, want);
+    // Ground truth: two independent full-frame runs, first differing
+    // cycle.
+    soc::SocConfig mutated = spec->config;
+    ASSERT_TRUE(replay::apply_mutation(mutated, "flash_ws", 6).is_ok());
+    const u64 want =
+        first_divergent_cycle(fingerprint_run(spec->config, spec->scenario),
+                              fingerprint_run(mutated, spec->scenario));
+    ASSERT_NE(want, 0u);
+    EXPECT_EQ(r.divergence.cycle, want);
 
-  // The context rows straddle the divergence: matching before, not after.
-  bool saw_match_before = false;
-  for (const replay::ContextRow& row : r.divergence.context) {
-    if (row.cycle < r.divergence.cycle) {
-      saw_match_before = true;
-      EXPECT_TRUE(row.match) << "cycle " << row.cycle;
+    // The context rows straddle the divergence: matching before, not
+    // after.
+    bool saw_match_before = false;
+    for (const replay::ContextRow& row : r.divergence.context) {
+      if (row.cycle < r.divergence.cycle) {
+        saw_match_before = true;
+        EXPECT_TRUE(row.match) << "cycle " << row.cycle;
+      }
+      if (row.cycle == r.divergence.cycle) {
+        EXPECT_FALSE(row.match);
+      }
     }
-    if (row.cycle == r.divergence.cycle) {
-      EXPECT_FALSE(row.match);
-    }
+    EXPECT_TRUE(saw_match_before);
   }
-  EXPECT_TRUE(saw_match_before);
 }
 
 TEST(ReplayOracle, UnknownMutationKnobIsRejected) {
-  soc::SocConfig cfg;
-  EXPECT_FALSE(replay::apply_mutation(cfg, "bogus_knob", 1).is_ok());
-  // A value that makes the config invalid is refused too.
-  soc::SocConfig bad;
-  EXPECT_FALSE(replay::apply_mutation(bad, "issue_width", 99).is_ok());
+  struct Case {
+    const char* knob;
+    u64 value;
+  };
+  // An unknown knob, a value that makes the config invalid, and values
+  // their field cannot hold, which must not wrap into range.
+  for (const Case& c :
+       {Case{"bogus_knob", 1}, Case{"issue_width", 99},
+        Case{"flash_ws", 4'294'967'302}, Case{"lmu_latency", u64{1} << 32},
+        Case{"icache", 2}, Case{"dcache", 2}}) {
+    soc::SocConfig cfg;
+    EXPECT_FALSE(replay::apply_mutation(cfg, c.knob, c.value).is_ok())
+        << c.knob << "=" << c.value;
+  }
   soc::SocConfig good;
   EXPECT_TRUE(replay::apply_mutation(good, "flash_ws", 6).is_ok());
   EXPECT_EQ(good.pflash.wait_states, 6u);
+  EXPECT_TRUE(replay::apply_mutation(good, "dcache", 0).is_ok());
+  EXPECT_FALSE(good.dcache.enabled);
 }
 
-// ---- snapshot-accelerated bisection ------------------------------------
+// ---- bisection ---------------------------------------------------------
 
 // The LMU is first touched by the CAN RX ISR (can_rx_period cycles in),
-// so an lmu_latency mutation diverges windows into the run; the idle
-// background parks in WFI so quiescent window-boundary checkpoints
-// exist. The bisection must restore one instead of re-booting, under
-// either exec tier and with fast-forward on or off.
-TEST(ReplayBisect, ChecksFromQuiescentCheckpointInLateWindow) {
+// so an lmu_latency mutation diverges windows into the run, past stretches
+// the idle background parks in WFI. The bisection must name the same
+// first divergent cycle under either exec tier and with fast-forward on
+// or off.
+TEST(ReplayBisect, LocatesLateDivergenceUnderEveryHostMode) {
   replay::ScenarioSpec scenario;
   scenario.kind = "engine";
   scenario.engine = idle_lmu_engine_options();
@@ -385,14 +408,9 @@ TEST(ReplayBisect, ChecksFromQuiescentCheckpointInLateWindow) {
     ASSERT_TRUE(r.divergence.found);
     EXPECT_EQ(r.divergence.kind, "frame") << r.format();
     // The first CAN frame arrives can_rx_period (9000) cycles in: the
-    // divergence sits windows past cycle 0 and the re-step must have
-    // started from a quiescent checkpoint, not from reset.
+    // divergence sits windows past cycle 0.
     EXPECT_GT(r.divergence.window_index, 0u);
     EXPECT_GT(r.divergence.cycle, win);
-    EXPECT_TRUE(r.divergence.checkpoint_used) << r.format();
-    EXPECT_GT(r.divergence.checkpoint_cycle, 0u);
-    EXPECT_LE(r.divergence.checkpoint_cycle,
-              r.divergence.window_index * win);
     // All four host modes agree on the first divergent cycle.
     static u64 agreed = 0;
     if (agreed == 0) agreed = r.divergence.cycle;

@@ -3,9 +3,8 @@
 // --record or audo-faultcamp --record), reconstructs the scenario from
 // the JSON alone, re-runs it under any host configuration and verifies
 // every recorded digest. On mismatch it bisects to the first divergent
-// window — restoring a quiescent soc::Snapshot checkpoint when one is
-// available — re-steps it frame by frame and reports the first divergent
-// cycle with per-field diffs and surrounding context.
+// window, re-runs both sides cold up to its end and reports the first
+// divergent cycle with per-field diffs and surrounding context.
 //
 //   audo-replay golden.json [options]
 //     --exec-tier T        re-run under 'accurate' or 'superblock'
@@ -21,13 +20,18 @@
 //                          and name the first divergent cycle.
 //     --context N          context frames around the divergence (def. 8)
 //     --divergence FILE    write the structured divergence report
-//                          (trisim-divergence/1 JSON)
+//                          (trisim-divergence/2 JSON)
 //
-// Exit codes: 0 = bit-identical replay, 1 = divergence, 2 = usage or
-// unloadable/corrupt golden.
+// Exit codes: 0 = bit-identical replay, 1 = divergence, 2 = usage (a
+// numeric value that does not parse whole is one) or unloadable/corrupt
+// golden.
+#include <cctype>
+#include <cerrno>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <limits>
 
 #include "replay/oracle.hpp"
 #include "replay/replay.hpp"
@@ -45,9 +49,25 @@ void usage() {
                "       [--divergence FILE]\n");
 }
 
+/// Parse all of `text` as an unsigned number no larger than `max`
+/// (decimal, 0x hex or 0 octal); exits 2 on anything else.
+u64 parse_number(const char* option, const char* text, u64 max) {
+  errno = 0;
+  char* end = nullptr;
+  const unsigned long long v = std::strtoull(text, &end, 0);
+  if (!std::isdigit(static_cast<unsigned char>(text[0])) || *end != '\0' ||
+      errno == ERANGE || v > max) {
+    std::fprintf(stderr, "%s wants a number up to %llu, got '%s'\n", option,
+                 static_cast<unsigned long long>(max), text);
+    std::exit(2);
+  }
+  return v;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
+  constexpr u64 kUnsignedMax = std::numeric_limits<unsigned>::max();
   const char* golden_path = nullptr;
   const char* divergence_path = nullptr;
   replay::OracleOptions options;
@@ -73,8 +93,8 @@ int main(int argc, char** argv) {
     } else if (std::strcmp(arg, "--no-fast-forward") == 0) {
       options.fast_forward = 0;
     } else if (std::strcmp(arg, "--jobs") == 0) {
-      options.jobs =
-          static_cast<unsigned>(std::strtoul(next_value(), nullptr, 0));
+      options.jobs = static_cast<unsigned>(
+          parse_number(arg, next_value(), kUnsignedMax));
     } else if (std::strcmp(arg, "--mutate") == 0) {
       const char* kv = next_value();
       const char* eq = std::strchr(kv, '=');
@@ -82,11 +102,12 @@ int main(int argc, char** argv) {
         std::fprintf(stderr, "--mutate wants KNOB=VALUE, got '%s'\n", kv);
         return 2;
       }
-      options.mutations.emplace_back(std::string(kv, eq),
-                                     std::strtoull(eq + 1, nullptr, 0));
+      options.mutations.emplace_back(
+          std::string(kv, eq),
+          parse_number(arg, eq + 1, std::numeric_limits<u64>::max()));
     } else if (std::strcmp(arg, "--context") == 0) {
-      options.context_frames =
-          static_cast<unsigned>(std::strtoul(next_value(), nullptr, 0));
+      options.context_frames = static_cast<unsigned>(
+          parse_number(arg, next_value(), kUnsignedMax));
     } else if (std::strcmp(arg, "--divergence") == 0) {
       divergence_path = next_value();
     } else if (arg[0] == '-') {
