@@ -11,7 +11,11 @@ directory and writes one golden per library entry:
                                and irq trace and the session DAG on, so
                                flow/irq/sync messages and the DAG hash
                                are pinned too
-  faultcamp_engine.json        seeded fault campaign classification
+  faultcamp_engine.json        seeded fault campaign classification on
+                               the busy engine, which never parks
+  faultcamp_idle.json          seeded fault campaign on the WFI engine,
+                               so idle-node attribution and
+                               fast-forwarded scenarios are pinned too
 
 Goldens only need regenerating when simulator behaviour intentionally
 changes; CI replays the committed set bit-identically under both exec
@@ -36,6 +40,8 @@ GOLDENS = [
     ("faultcamp_engine.json", "audo-faultcamp",
      ["--scenarios", "8", "--seed", "11", "--jobs", "2",
       "--cycles", "200000", "--bg", "120"]),
+    ("faultcamp_idle.json", "audo-faultcamp",
+     ["--idle-revs", "2", "--scenarios", "32", "--seed", "1", "--jobs", "2"]),
 ]
 
 
