@@ -360,6 +360,7 @@ std::string ReplaySpec::to_json() const {
     w.kv("outcome", r.outcome);
     w.kv("cycles", r.cycles);
     w.kv("signature", r.signature);
+    w.kv("task", r.task);
     w.end_object();
   }
   w.end_array();
@@ -467,6 +468,7 @@ Result<ReplaySpec> ReplaySpec::from_json(std::string_view text) {
         r.outcome = p.str(rv, "outcome");
         r.cycles = p.num(rv, "cycles");
         r.signature = p.num(rv, "signature");
+        r.task = p.str(rv, "task");
         spec.campaign.runs.push_back(std::move(r));
       }
     }
