@@ -2,6 +2,7 @@
 #pragma once
 
 #include <cassert>
+#include <span>
 #include <vector>
 
 #include "common/snapshot.hpp"
@@ -73,6 +74,9 @@ class MemArray {
     }
     return value;
   }
+
+  /// The stored bytes, read-only and like peek(): no fault hook.
+  std::span<const u8> bytes() const { return bytes_; }
 
   void poke(usize offset, u32 value, unsigned bytes) {
     if (offset + bytes > bytes_.size()) return;

@@ -84,19 +84,16 @@ ScenarioResult from_manifest_record(const host::ScenarioRecord& rec) {
 namespace {
 
 /// Digest of the architecturally-visible end state: TC register files
-/// plus the DSPR image, read through peek() so inspection cannot consume
-/// pending ECC fault records.
+/// plus the DSPR image word by word. The image is read as peek() reads
+/// it, so inspection cannot consume pending ECC fault records; it is
+/// nearly all zero, and each run of zero words folds in one step.
 u64 state_signature(soc::Soc& soc) {
   u64 h = kFnvOffset;
   for (unsigned i = 0; i < 16; ++i) {
     h = fnv1a(h, u64{soc.tc().d(i)});
     h = fnv1a(h, u64{soc.tc().a(i)});
   }
-  const mem::MemArray& dspr = soc.dspr().array();
-  for (usize off = 0; off + 4 <= dspr.size(); off += 4) {
-    h = fnv1a(h, u64{dspr.peek(off, 4)});
-  }
-  return h;
+  return fnv1a_words(h, soc.dspr().array().bytes());
 }
 
 /// Cycle of the plan's earliest event (~0 when there is none) — the warm
@@ -110,6 +107,32 @@ Cycle first_event_cycle(const fault::FaultPlan* plan) {
   }
   return first;
 }
+
+/// Feeds the scenario's ExecutionDag only until the TC task at the first
+/// fault event is settled: the campaign asks the DAG nothing else, and
+/// the Soc walks its observer list while it publishes, so the DAG cannot
+/// detach mid-run. Later frames stop here.
+class AttributionFeed final : public soc::FrameObserver {
+ public:
+  AttributionFeed(profiling::ExecutionDag& dag, Cycle at)
+      : dag_(dag), at_(at) {}
+
+  void observe(const mcds::ObservationFrame& frame) override {
+    if (settled_) return;
+    dag_.observe(frame);
+    settled_ = dag_.task_settled(profiling::kDagCoreTc, at_);
+  }
+  void skip_idle(const mcds::ObservationFrame& idle, u64 n) override {
+    if (settled_) return;
+    dag_.skip_idle(idle, n);
+    settled_ = dag_.task_settled(profiling::kDagCoreTc, at_);
+  }
+
+ private:
+  profiling::ExecutionDag& dag_;
+  Cycle at_;
+  bool settled_ = false;
+};
 
 /// Wall-clock granularity: how many cycles run between deadline checks
 /// when a scenario timeout is armed. Chunk boundaries only repartition
@@ -326,10 +349,12 @@ ScenarioResult FaultCampaign::run_one(const fault::FaultPlan* plan,
   // Segment the run into task/ISR activations so the campaign can report
   // *where* each fault landed, not just what it did. The DAG rides the
   // frame-observer hook, so attribution is bit-identical with
-  // fast-forward on or off and for any --jobs.
+  // fast-forward on or off and for any --jobs; it sees the run only up
+  // to where the task at the first event is settled.
   profiling::ExecutionDag dag(isa::SymbolMap(workload_.program));
   const bool attribute = plan != nullptr && !plan->events.empty();
-  if (attribute) soc.add_frame_observer(&dag);
+  AttributionFeed feed(dag, first_event_cycle(plan));
+  if (attribute) soc.add_frame_observer(&feed);
   if (plan != nullptr) soc.set_fault_injector(&injector);
   soc.reset(workload_.tc_entry, workload_.pcp_entry);
 
@@ -368,11 +393,7 @@ ScenarioResult FaultCampaign::run_one(const fault::FaultPlan* plan,
   r.cycles = soc.cycle();
   r.halted = soc.tc().halted();
   if (attribute) {
-    Cycle first = ~Cycle{0};
-    for (const fault::FaultEvent& ev : plan->events) {
-      first = std::min(first, ev.at);
-    }
-    r.task = dag.task_at(profiling::kDagCoreTc, first);
+    r.task = dag.task_at(profiling::kDagCoreTc, first_event_cycle(plan));
   }
   for (unsigned k = 0; k < fault::kNumFaultKinds; ++k) {
     r.injected[k] = injector.injected(static_cast<fault::FaultKind>(k));

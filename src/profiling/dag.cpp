@@ -308,17 +308,30 @@ void ExecutionDag::skip_idle(const mcds::ObservationFrame& idle, u64 n) {
   last_cycle_ = idle.cycle + n;
 }
 
-std::string ExecutionDag::task_at(u8 core, Cycle cycle) const {
-  if (core >= 2) return "";
+u32 ExecutionDag::node_at(u8 core, Cycle cycle) const {
   const std::vector<u32>& ids = state_[core].nodes;
   const auto it = std::upper_bound(
       ids.begin(), ids.end(), cycle,
       [this](Cycle c, u32 id) { return c < nodes_[id].start; });
-  if (it == ids.begin()) return "";
-  const u32 id = *(it - 1);
   // Windows are contiguous per core, so the found node covers `cycle`
   // (or is the last one, for cycles at/after the end of observation).
-  return resolved_task(nodes_[id]);
+  return it == ids.begin() ? kDagNoNode : *(it - 1);
+}
+
+std::string ExecutionDag::task_at(u8 core, Cycle cycle) const {
+  if (core >= 2) return "";
+  const u32 id = node_at(core, cycle);
+  return id == kDagNoNode ? "" : resolved_task(nodes_[id]);
+}
+
+bool ExecutionDag::task_settled(u8 core, Cycle cycle) const {
+  if (core >= 2) return true;
+  if (last_cycle_ < cycle) return false;
+  // Later nodes open after last_cycle_, so the covering node is final.
+  const u32 id = node_at(core, cycle);
+  if (id == kDagNoNode || !nodes_[id].task.empty()) return true;
+  const CoreState& s = state_[core];
+  return id != s.idle_node && (s.stack.empty() || id != s.stack.back().node);
 }
 
 const DagAnalysis& ExecutionDag::analysis() const {

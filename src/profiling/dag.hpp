@@ -163,6 +163,12 @@ class ExecutionDag : public soc::FrameObserver {
   /// cycle is outside every node) — fault-campaign attribution.
   std::string task_at(u8 core, Cycle cycle) const;
 
+  /// Whether task_at(core, cycle) can no longer change: `cycle` has been
+  /// observed, and the activation covering it has its name or is no
+  /// longer the core's open node. Only the open node is ever charged or
+  /// named, so observing further frames cannot move the answer.
+  bool task_settled(u8 core, Cycle cycle) const;
+
   /// Human-readable summary: per-task table plus the critical path head.
   std::string format(usize top_n = 16) const;
   /// Node table, one row per activation (stable across reruns).
@@ -220,6 +226,9 @@ class ExecutionDag : public soc::FrameObserver {
   /// Post-charge transition: RFE closes the handler, pops the context.
   void retire_isr(u8 core, const mcds::CoreObservation& obs);
   u32 synthetic_node(bus::MasterId master, Cycle at);
+  /// The node covering `cycle` on `core`: the last one opened at or
+  /// before it (kDagNoNode before the first).
+  u32 node_at(u8 core, Cycle cycle) const;
   void contention_edge(u8 core, const mcds::CoreObservation& obs, u64 n);
   void compute(DagAnalysis& a) const;
 

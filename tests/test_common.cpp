@@ -55,6 +55,72 @@ TEST(Bits, Pow2Helpers) {
   EXPECT_FALSE(is_aligned(48, 32));
 }
 
+// fnv1a_zeros is m folds of a zero u64, one multiply per bit of m.
+TEST(Bits, FnvZerosEqualsRepeatedZeroFolds) {
+  const u64 start = fnv1a(kFnvOffset, u64{0x1234'5678'9abc'def0});
+  u64 folded = start;
+  for (u64 m = 0; m <= 4096; ++m) {
+    ASSERT_EQ(fnv1a_zeros(start, m), folded) << "m=" << m;
+    folded = fnv1a(folded, u64{0});
+  }
+  Prng rng(28);
+  for (int i = 0; i < 4; ++i) {
+    const u64 m = 4097 + rng.next_below(u64{1} << 20);
+    u64 h = start;
+    for (u64 k = 0; k < m; ++k) h = fnv1a(h, u64{0});
+    EXPECT_EQ(fnv1a_zeros(start, m), h) << "m=" << m;
+  }
+}
+
+// The word fold with zero runs equals the word-by-word fold of
+// fnv1a(h, u64{word}) that the campaign's state signature is defined by,
+// on 128 KiB images of every density, with the first or last word the
+// only non-zero one, and with a trailing partial word that both leave out.
+TEST(Bits, FnvWordsEqualsWordByWordFold) {
+  const auto word_by_word = [](u64 h, const std::vector<u8>& bytes) {
+    for (usize off = 0; off + 4 <= bytes.size(); off += 4) {
+      u32 word = 0;
+      for (unsigned i = 0; i < 4; ++i) {
+        word |= static_cast<u32>(bytes[off + i]) << (8 * i);
+      }
+      h = fnv1a(h, u64{word});
+    }
+    return h;
+  };
+  const auto image = [](double density, u64 seed) {
+    Prng rng(seed);
+    std::vector<u8> bytes(128 * 1024, 0);
+    for (usize off = 0; off < bytes.size(); off += 4) {
+      if (!rng.chance(density)) continue;
+      // Any one byte of a non-zero word may carry its value.
+      bytes[off + rng.next_below(4)] = static_cast<u8>(1 + rng.next_below(255));
+    }
+    return bytes;
+  };
+  std::vector<std::vector<u8>> images;
+  images.push_back(image(0.0, 1));
+  images.push_back(image(1.0, 2));
+  for (const double density : {0.001, 0.1, 0.9}) {
+    for (u64 seed = 3; seed < 6; ++seed) images.push_back(image(density, seed));
+  }
+  std::vector<u8> first_only(128 * 1024, 0);
+  first_only[0] = 0x5a;
+  images.push_back(first_only);
+  std::vector<u8> last_only(128 * 1024, 0);
+  last_only.back() = 0xa5;
+  images.push_back(last_only);
+  std::vector<u8> partial = image(0.001, 6);
+  partial.insert(partial.end(), {0x11, 0x22, 0x33});
+  images.push_back(partial);
+
+  for (usize i = 0; i < images.size(); ++i) {
+    EXPECT_EQ(fnv1a_words(kFnvOffset, images[i]),
+              word_by_word(kFnvOffset, images[i]))
+        << "image " << i;
+  }
+  EXPECT_EQ(fnv1a_words(kFnvOffset, {}), kFnvOffset);
+}
+
 TEST(BitStream, BasicRoundTrip) {
   BitWriter w;
   w.write(0b101, 3);

@@ -1,13 +1,14 @@
 // Execution DAG (DESIGN.md, "Execution DAG & critical path"):
 // conservation invariants on real workloads, critical-path bounds,
 // preemption/resume edges under nested interrupts, deterministic
-// bottleneck labels, and bit-identity across fast-forward modes and
-// host job counts.
+// bottleneck labels, bit-identity across fast-forward modes and host job
+// counts, and when a cycle's task is settled mid-run.
 #include <gtest/gtest.h>
 
 #include <set>
 #include <string>
 
+#include "common/prng.hpp"
 #include "helpers.hpp"
 #include "host/sim_pool.hpp"
 #include "optimize/cost_model.hpp"
@@ -206,6 +207,136 @@ TEST(ExecutionDag, NestedIrqPreemptionAndResumeEdges) {
   const profiling::DagTaskSummary* low = a.find_task("isr_low");
   ASSERT_NE(low, nullptr);
   EXPECT_GT(low->preempted_cycles, 0u);
+}
+
+// ---- settled attribution ---------------------------------------------
+
+// The TC's only handler is its vector stub: every activation of it ends
+// with an RFE that never retired in a named function, so its node closes
+// unnamed ("irq@10"). Such a node is settled by closing, not by a name.
+constexpr std::string_view kStubIsr = R"(
+    .text 0x80000140       ; priority 10: the whole handler
+    rfe
+    .text 0x80001000
+main:
+    di
+    movha a14, 0xF000
+    movh  d0, 0x8000
+    mtcr  biv, d0
+    movd  d0, 300
+    st.w  d0, [a14+8]      ; CMP0 period 300 -> prio 10
+    movd  d0, 1
+    st.w  d0, [a14+16]
+    ei
+    movd  d1, 0
+    movd  d2, 6000
+count:
+    addi  d1, d1, 1
+    jlt   d1, d2, count
+    halt
+)";
+
+/// Runs `soc` to `budget` in seeded chunks of 1..32 cycles. After each
+/// chunk it asks task_settled for every passed TC cycle not yet settled
+/// and reads task_at for those that are. Every such answer must equal
+/// the end-of-run task_at, and every cycle more than `bound` cycles
+/// before the end must have settled within `bound` cycles of itself.
+void expect_settled_answers_final(soc::Soc& soc, const ExecutionDag& dag,
+                                  u64 budget, u64 bound) {
+  struct Answer {
+    Cycle cycle;
+    Cycle settled_at;
+    std::string task;
+  };
+  std::vector<Answer> answers;
+  std::vector<Cycle> pending;
+  Cycle next = soc.cycle() + 1;
+  Prng rng(budget);
+  while (soc.cycle() < budget && !soc.tc().halted()) {
+    const u64 chunk = std::min<u64>(1 + rng.next_below(32),
+                                    budget - soc.cycle());
+    const u64 ran = soc.run(chunk);
+    for (; next <= soc.cycle(); ++next) pending.push_back(next);
+    std::erase_if(pending, [&](Cycle c) {
+      if (!dag.task_settled(profiling::kDagCoreTc, c)) return false;
+      answers.push_back({c, soc.cycle(), dag.task_at(profiling::kDagCoreTc, c)});
+      return true;
+    });
+    if (ran < chunk) break;  // halted or idle deadlock
+  }
+  const Cycle end = soc.cycle();
+  ASSERT_GT(end, 2 * bound);
+
+  u64 changed = 0;
+  u64 late = 0;
+  for (const Answer& a : answers) {
+    const std::string final_task = dag.task_at(profiling::kDagCoreTc, a.cycle);
+    if (a.task != final_task && changed++ == 0) {
+      ADD_FAILURE() << "cycle " << a.cycle << " settled at " << a.settled_at
+                    << " as '" << a.task << "', ends as '" << final_task
+                    << "'";
+    }
+    if (a.cycle + bound < end && a.settled_at > a.cycle + bound) ++late;
+  }
+  for (const Cycle c : pending) {
+    if (c + bound < end) ++late;
+  }
+  EXPECT_EQ(changed, 0u);
+  EXPECT_EQ(late, 0u) << "of " << end << " cycles";
+  EXPECT_GE(answers.size() + bound, end);
+}
+
+TEST(ExecutionDag, TaskSettledOnlyOnceTheAnswerIsFinal) {
+  constexpr u64 kBound = 4'000;
+  {
+    SCOPED_TRACE("busy engine");
+    auto built = workload::build_engine_workload(engine_options());
+    ASSERT_TRUE(built.is_ok()) << built.status().to_string();
+    soc::Soc soc(test::small_config());
+    ExecutionDag dag{isa::SymbolMap(built.value().program)};
+    soc.set_frame_observer(&dag);
+    ASSERT_TRUE(workload::install_engine(soc, built.value()).is_ok());
+    expect_settled_answers_final(soc, dag, 300'000, kBound);
+  }
+  {
+    SCOPED_TRACE("WFI engine");
+    workload::EngineOptions opt;
+    opt.idle_background = true;
+    opt.halt_after_revs = 2;
+    auto built = workload::build_engine_workload(opt);
+    ASSERT_TRUE(built.is_ok()) << built.status().to_string();
+    soc::Soc soc(test::small_config());
+    ExecutionDag dag{isa::SymbolMap(built.value().program)};
+    soc.set_frame_observer(&dag);
+    ASSERT_TRUE(workload::install_engine(soc, built.value()).is_ok());
+    expect_settled_answers_final(soc, dag, 300'000, kBound);
+  }
+  {
+    SCOPED_TRACE("transmission");
+    workload::TransmissionOptions opt;
+    opt.halt_after_tasks = 6;
+    auto built = workload::build_transmission_workload(opt);
+    ASSERT_TRUE(built.is_ok()) << built.status().to_string();
+    soc::Soc soc(test::small_config());
+    ExecutionDag dag{isa::SymbolMap(built.value().program)};
+    soc.set_frame_observer(&dag);
+    ASSERT_TRUE(workload::install_transmission(soc, built.value()).is_ok());
+    expect_settled_answers_final(soc, dag, 300'000, kBound);
+  }
+  for (const std::string_view source : {kNestedIrq, kStubIsr}) {
+    SCOPED_TRACE(source == kNestedIrq ? "nested irq" : "stub isr");
+    auto program = isa::assemble(source);
+    ASSERT_TRUE(program.is_ok()) << program.status().to_string();
+    soc::Soc soc(test::small_config());
+    ExecutionDag dag{isa::SymbolMap(program.value())};
+    soc.set_frame_observer(&dag);
+    ASSERT_TRUE(soc.load(program.value()).is_ok());
+    soc.irq_router().configure(soc.srcs().stm0, 10, periph::IrqTarget::kTc);
+    soc.irq_router().configure(soc.srcs().stm1, 20, periph::IrqTarget::kTc);
+    soc.reset(program.value().entry());
+    expect_settled_answers_final(soc, dag, 200'000, 200);
+    EXPECT_TRUE(soc.tc().halted());
+  }
 }
 
 // ---- deterministic bottleneck labels --------------------------------

@@ -3,6 +3,9 @@
 // and its reactions, and the parallel fault-campaign classifier.
 #include <gtest/gtest.h>
 
+#include <set>
+
+#include "common/bits.hpp"
 #include "fault/fault_injector.hpp"
 #include "fault/safety_monitor.hpp"
 #include "helpers.hpp"
@@ -13,6 +16,7 @@
 #include "periph/irq_router.hpp"
 #include "periph/peripherals.hpp"
 #include "periph/sfr_bridge.hpp"
+#include "profiling/dag.hpp"
 #include "telemetry/run_report.hpp"
 #include "workload/engine.hpp"
 
@@ -483,6 +487,115 @@ TEST(FaultCampaign, ClassificationIsIdenticalForAnyJobCount) {
     }
   }
   EXPECT_NE(reference, 0u);
+}
+
+// One scenario run the way the campaign attributes and signs it by
+// definition: a cold boot, the DAG attached for the whole run, and the
+// DSPR hashed word by word through peek().
+optimize::ScenarioResult whole_run_reference(
+    const optimize::FaultCampaign& campaign,
+    const optimize::FaultScenario& sc) {
+  const optimize::WorkloadCase& wc = campaign.workload();
+  soc::SocConfig cfg = campaign.config();
+  cfg.safety = sc.safety;
+  FaultInjector injector(sc.plan);
+  soc::Soc soc(cfg);
+  EXPECT_TRUE(soc.load(wc.program).is_ok());
+  wc.configure(soc);
+  profiling::ExecutionDag dag{isa::SymbolMap(wc.program)};
+  soc.add_frame_observer(&dag);
+  soc.set_fault_injector(&injector);
+  soc.reset(wc.tc_entry, wc.pcp_entry);
+  soc.run(campaign.budget_cycles());
+
+  optimize::ScenarioResult r;
+  r.cycles = soc.cycle();
+  Cycle first = ~Cycle{0};
+  for (const FaultEvent& ev : sc.plan.events) first = std::min(first, ev.at);
+  r.task = dag.task_at(profiling::kDagCoreTc, first);
+  u64 h = kFnvOffset;
+  for (unsigned i = 0; i < 16; ++i) {
+    h = fnv1a(h, u64{soc.tc().d(i)});
+    h = fnv1a(h, u64{soc.tc().a(i)});
+  }
+  const mem::MemArray& dspr = soc.dspr().array();
+  for (usize off = 0; off + 4 <= dspr.size(); off += 4) {
+    h = fnv1a(h, u64{dspr.peek(off, 4)});
+  }
+  r.signature = h;
+  return r;
+}
+
+// The campaign feeds its DAG only until the task at the first event is
+// settled and folds the DSPR's zero runs at once; neither may change an
+// answer. On the WFI engine, whose scenarios park, fast-forward and land
+// in idle and ISR nodes, every scenario's task, signature and cycles must
+// equal the whole-run reference, with the warm fork on and off, at jobs 1
+// and 2, and through the timeout path's chunked run.
+TEST(FaultCampaign, AttributionAndSignatureEqualAWholeRunReference) {
+  workload::EngineOptions opt;
+  opt.idle_background = true;
+  opt.halt_after_revs = 2;
+  auto built = workload::build_engine_workload(opt);
+  ASSERT_TRUE(built.is_ok()) << built.status().to_string();
+  const soc::SocConfig chip;
+  optimize::WorkloadCase wc;
+  wc.name = "engine";
+  wc.program = built.value().program;
+  wc.tc_entry = built.value().tc_entry;
+  wc.pcp_entry = built.value().pcp_entry;
+  wc.configure = [options = built.value().options](soc::Soc& soc) {
+    workload::configure_engine(soc, options);
+  };
+  wc.max_cycles = 400'000;
+  optimize::FaultCampaign campaign(chip, std::move(wc));
+
+  optimize::FaultCampaign::DemoTargets targets;
+  const Addr bg = built.value().program.symbol_addr("_bg_loop").value();
+  targets.hot_flash_offset = mem::pflash_offset(bg);
+  targets.dead_flash_offset = chip.pflash.size - 0x100;
+  targets.live_dspr_offset = chip.dspr_bytes - 0x40;
+  targets.storm_src = soc::Soc(chip).srcs().adc_done;
+  std::vector<optimize::FaultScenario> scenarios =
+      campaign.make_demo_scenarios(targets);
+  const auto random = campaign.make_scenarios(/*seed=*/1, /*count=*/48);
+  scenarios.insert(scenarios.end(), random.begin(), random.end());
+
+  std::vector<optimize::ScenarioResult> want;
+  std::set<std::string> tasks;
+  for (const optimize::FaultScenario& sc : scenarios) {
+    want.push_back(whole_run_reference(campaign, sc));
+    tasks.insert(want.back().task);
+  }
+  EXPECT_GE(tasks.size(), 3u);
+  EXPECT_TRUE(tasks.count("idle") != 0);
+
+  struct Mode {
+    bool warm;
+    unsigned jobs;
+    u64 timeout_ms;
+  };
+  for (const Mode m : {Mode{false, 1, 0}, Mode{false, 2, 0}, Mode{true, 1, 0},
+                       Mode{true, 2, 0}, Mode{true, 2, 600'000}}) {
+    SCOPED_TRACE("warm " + std::to_string(m.warm) + ", jobs " +
+                 std::to_string(m.jobs) + ", timeout " +
+                 std::to_string(m.timeout_ms));
+    if (m.warm) {
+      EXPECT_NE(campaign.prepare_warm_fork(scenarios), 0u);
+    } else {
+      campaign.clear_warm_fork();
+    }
+    campaign.set_jobs(m.jobs);
+    campaign.set_timeout_ms(m.timeout_ms);
+    const optimize::CampaignSummary summary = campaign.run(scenarios);
+    ASSERT_EQ(summary.runs.size(), want.size());
+    for (usize i = 0; i < want.size(); ++i) {
+      const optimize::ScenarioResult& got = summary.runs[i];
+      EXPECT_EQ(got.task, want[i].task) << got.name;
+      EXPECT_EQ(got.signature, want[i].signature) << got.name;
+      EXPECT_EQ(got.cycles, want[i].cycles) << got.name;
+    }
+  }
 }
 
 TEST(FaultCampaign, SameSeedSamePlansDifferentSeedsDiffer) {
