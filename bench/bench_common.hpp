@@ -10,6 +10,7 @@
 #include <string_view>
 #include <vector>
 
+#include "common/cli.hpp"
 #include "ed/emulation_device.hpp"
 #include "host/sim_pool.hpp"
 #include "profiling/session.hpp"
@@ -86,12 +87,11 @@ inline BenchArgs parse_args(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     const std::string_view a = argv[i];
     if (a == "--cycles") {
-      args.cycles = std::strtoull(value_of(i, a), nullptr, 0);
+      args.cycles = parse_number<u64>(a.data(), value_of(i, a));
     } else if (a == "--seed") {
-      args.seed = std::strtoull(value_of(i, a), nullptr, 0);
+      args.seed = parse_number<u64>(a.data(), value_of(i, a));
     } else if (a == "--jobs") {
-      args.jobs = static_cast<unsigned>(
-          std::strtoul(value_of(i, a), nullptr, 0));
+      args.jobs = parse_number<unsigned>(a.data(), value_of(i, a));
       if (args.jobs == 0) args.jobs = host::SimPool::hardware_jobs();
     } else if (a == "--no-fast-forward") {
       args.fast_forward = false;

@@ -52,12 +52,17 @@
 //                         for the regression lab; --engine or
 //                         --transmission only (the workload recipe must
 //                         be reconstructible from options alone)
+//
+// A numeric value that does not parse whole or does not fit its option
+// is a usage error (exit 2).
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <sstream>
 
+#include "common/cli.hpp"
 #include "host/sim_pool.hpp"
 #include "isa/assembler.hpp"
 #include "profiling/export.hpp"
@@ -146,9 +151,9 @@ int main(int argc, char** argv) {
     } else if (std::strcmp(arg, "--transmission") == 0) {
       transmission = true;
     } else if (std::strcmp(arg, "--cycles") == 0) {
-      cycles = std::strtoull(next_value(), nullptr, 0);
+      cycles = parse_number<u64>(arg, next_value());
     } else if (std::strcmp(arg, "--resolution") == 0) {
-      resolution = static_cast<u32>(std::strtoul(next_value(), nullptr, 0));
+      resolution = parse_number<u32>(arg, next_value());
     } else if (std::strcmp(arg, "--flow") == 0) {
       options.program_trace = true;
     } else if (std::strcmp(arg, "--data") == 0) {
@@ -164,7 +169,7 @@ int main(int argc, char** argv) {
       cpi_stacks = true;
       options.cpi_stacks = true;
     } else if (std::strcmp(arg, "--top") == 0) {
-      top_n = std::strtoull(next_value(), nullptr, 0);
+      top_n = parse_number<usize>(arg, next_value());
     } else if (std::strcmp(arg, "--csv") == 0) {
       cpi_csv = next_value();
       options.cpi_stacks = true;
@@ -182,14 +187,14 @@ int main(int argc, char** argv) {
       dag_dot = next_value();
       options.dag = true;
     } else if (std::strcmp(arg, "--listing") == 0) {
-      listing_lines = std::strtoull(next_value(), nullptr, 0);
+      listing_lines = parse_number<usize>(arg, next_value());
       options.program_trace = true;
     } else if (std::strcmp(arg, "--series-csv") == 0) {
       series_csv = next_value();
     } else if (std::strcmp(arg, "--events-csv") == 0) {
       events_csv = next_value();
     } else if (std::strcmp(arg, "--jobs") == 0) {
-      jobs = static_cast<unsigned>(std::strtoul(next_value(), nullptr, 0));
+      jobs = parse_number<unsigned>(arg, next_value());
       if (jobs == 0) jobs = host::SimPool::hardware_jobs();
     } else if (std::strcmp(arg, "--report") == 0) {
       report_path = next_value();
@@ -217,11 +222,12 @@ int main(int argc, char** argv) {
     } else if (std::strcmp(arg, "--no-dcache") == 0) {
       chip.dcache.enabled = false;
     } else if (std::strcmp(arg, "--flash-ws") == 0) {
-      chip.pflash.wait_states =
-          static_cast<unsigned>(std::strtoul(next_value(), nullptr, 0));
+      chip.pflash.wait_states = parse_number<unsigned>(arg, next_value());
     } else if (std::strcmp(arg, "--emem-kib") == 0) {
       options.ed.emem.size_bytes =
-          static_cast<u32>(std::strtoul(next_value(), nullptr, 0)) * 1024;
+          parse_number<u32>(arg, next_value(),
+                            std::numeric_limits<u32>::max() / 1024) *
+          1024;
       options.ed.emem.overlay_bytes = 0;
     } else if (arg[0] == '-') {
       std::fprintf(stderr, "unknown option: %s\n", arg);

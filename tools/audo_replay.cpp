@@ -25,14 +25,11 @@
 // Exit codes: 0 = bit-identical replay, 1 = divergence, 2 = usage (a
 // numeric value that does not parse whole is one) or unloadable/corrupt
 // golden.
-#include <cctype>
-#include <cerrno>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
-#include <limits>
 
+#include "common/cli.hpp"
 #include "replay/oracle.hpp"
 #include "replay/replay.hpp"
 
@@ -49,25 +46,9 @@ void usage() {
                "       [--divergence FILE]\n");
 }
 
-/// Parse all of `text` as an unsigned number no larger than `max`
-/// (decimal, 0x hex or 0 octal); exits 2 on anything else.
-u64 parse_number(const char* option, const char* text, u64 max) {
-  errno = 0;
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(text, &end, 0);
-  if (!std::isdigit(static_cast<unsigned char>(text[0])) || *end != '\0' ||
-      errno == ERANGE || v > max) {
-    std::fprintf(stderr, "%s wants a number up to %llu, got '%s'\n", option,
-                 static_cast<unsigned long long>(max), text);
-    std::exit(2);
-  }
-  return v;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  constexpr u64 kUnsignedMax = std::numeric_limits<unsigned>::max();
   const char* golden_path = nullptr;
   const char* divergence_path = nullptr;
   replay::OracleOptions options;
@@ -93,8 +74,7 @@ int main(int argc, char** argv) {
     } else if (std::strcmp(arg, "--no-fast-forward") == 0) {
       options.fast_forward = 0;
     } else if (std::strcmp(arg, "--jobs") == 0) {
-      options.jobs = static_cast<unsigned>(
-          parse_number(arg, next_value(), kUnsignedMax));
+      options.jobs = parse_number<unsigned>(arg, next_value());
     } else if (std::strcmp(arg, "--mutate") == 0) {
       const char* kv = next_value();
       const char* eq = std::strchr(kv, '=');
@@ -102,12 +82,10 @@ int main(int argc, char** argv) {
         std::fprintf(stderr, "--mutate wants KNOB=VALUE, got '%s'\n", kv);
         return 2;
       }
-      options.mutations.emplace_back(
-          std::string(kv, eq),
-          parse_number(arg, eq + 1, std::numeric_limits<u64>::max()));
+      options.mutations.emplace_back(std::string(kv, eq),
+                                     parse_number<u64>(arg, eq + 1));
     } else if (std::strcmp(arg, "--context") == 0) {
-      options.context_frames = static_cast<unsigned>(
-          parse_number(arg, next_value(), kUnsignedMax));
+      options.context_frames = parse_number<unsigned>(arg, next_value());
     } else if (std::strcmp(arg, "--divergence") == 0) {
       divergence_path = next_value();
     } else if (arg[0] == '-') {
