@@ -12,10 +12,9 @@
 //      event-driven engine build that parks in WFI between interrupts:
 //      wall-clock with the skip on vs off plus a bit-identity check on
 //      the final cycle/instruction counts.
-//   4. Warm-forked fault campaign: the same campaign run with every
-//      scenario cold-booted vs forked from one snapshot at the last
-//      pre-fault quiescent cycle, plus a bit-identity check on the
-//      classification hash.
+//   4. Fault campaign jobs scaling: one seeded campaign on 1, 2 and 8
+//      workers, plus a bit-identity check of each width's classification
+//      hash against the serial run's.
 //
 // Output is the normal human-readable text plus `THROUGHPUT key=value`
 // lines; tools/bench_throughput.py parses those into BENCH_throughput.json
@@ -194,7 +193,13 @@ int main(int argc, char** argv) {
               ff_on.seconds, ff_off.seconds, ff_speedup,
               ff_identical ? "bit-identical to stepped" : "MISMATCH");
 
-  // --- 4. fault campaign, cold boots vs warm fork ---------------------
+  // --- 4. campaign jobs scaling: 1 / 2 / 8 workers -------------------
+  //
+  // One seeded campaign on the WFI engine at three SimPool sizes. The
+  // merged classification is job-count independent by construction, so
+  // every width must reproduce the serial hash; the timing gives campaign
+  // scenarios/second at each width — the number a fault-campaign user
+  // actually waits on.
   workload::EngineOptions camp_opt;
   camp_opt.idle_background = true;
   camp_opt.halt_after_revs = 2;
@@ -214,7 +219,6 @@ int main(int argc, char** argv) {
   };
   camp_case.max_cycles = 400'000;
   optimize::FaultCampaign campaign{soc::SocConfig{}, std::move(camp_case)};
-  campaign.set_jobs(1);  // serial, so the timing isolates the boot path
   const auto scenarios = campaign.make_scenarios(/*seed=*/9, /*count=*/16);
   auto time_campaign = [&](u64* hash) {
     const auto t0 = std::chrono::steady_clock::now();
@@ -223,48 +227,24 @@ int main(int argc, char** argv) {
     *hash = summary.classification_hash();
     return std::chrono::duration<double>(t1 - t0).count();
   };
-  u64 cold_hash = 0;
-  u64 warm_hash = 0;
-  const double camp_cold_s = time_campaign(&cold_hash);
-  campaign.prepare_warm_fork(scenarios);
-  const double camp_warm_s = time_campaign(&warm_hash);
-  const bool camp_identical =
-      campaign.has_warm_fork() && warm_hash == cold_hash;
-  std::printf("\nwarm-forked fault campaign (%zu scenarios + golden, fork "
-              "at cycle %llu):\n"
-              "  cold boots: %8.3f s\n"
-              "  warm fork:  %8.3f s (%.2fx)\n"
-              "  results: %s\n",
-              scenarios.size(),
-              static_cast<unsigned long long>(campaign.warm_fork_cycle()),
-              camp_cold_s, camp_warm_s,
-              camp_warm_s > 0.0 ? camp_cold_s / camp_warm_s : 0.0,
-              camp_identical ? "classification bit-identical to cold"
-                             : "MISMATCH");
-
-  // --- 4b. campaign jobs scaling: 1 / 2 / 8 workers -------------------
-  //
-  // The same warm-forked campaign at three SimPool sizes. The merged
-  // classification is job-count independent by construction; the timing
-  // gives campaign scenarios/second at each width — the number a fault-
-  // campaign user actually waits on.
   const unsigned scaling_jobs[] = {1, 2, 8};
   double scaling_seconds[3] = {0.0, 0.0, 0.0};
+  u64 serial_hash = 0;
   bool scaling_identical = true;
   for (unsigned i = 0; i < 3; ++i) {
     campaign.set_jobs(scaling_jobs[i]);
     u64 hash = 0;
     scaling_seconds[i] = time_campaign(&hash);
-    scaling_identical = scaling_identical && hash == cold_hash;
+    if (i == 0) serial_hash = hash;
+    scaling_identical = scaling_identical && hash == serial_hash;
   }
-  campaign.set_jobs(1);
   const double best_seconds =
       std::min({scaling_seconds[0], scaling_seconds[1], scaling_seconds[2]});
   const double scenarios_per_sec =
       best_seconds > 0.0
           ? static_cast<double>(scenarios.size() + 1) / best_seconds
           : 0.0;
-  std::printf("\ncampaign jobs scaling (%zu scenarios + golden, warm fork):\n",
+  std::printf("\ncampaign jobs scaling (%zu scenarios + golden):\n",
               scenarios.size());
   for (unsigned i = 0; i < 3; ++i) {
     std::printf("  %u jobs: %8.3f s (%.2fx)\n", scaling_jobs[i],
@@ -384,12 +364,6 @@ int main(int argc, char** argv) {
   std::printf("THROUGHPUT ff_wakeups=%llu\n",
               static_cast<unsigned long long>(ff_on.wakeups));
   std::printf("THROUGHPUT ff_identical=%d\n", ff_identical ? 1 : 0);
-  std::printf("THROUGHPUT warm_fork_runs=%zu\n", scenarios.size() + 1);
-  std::printf("THROUGHPUT warm_fork_cycle=%llu\n",
-              static_cast<unsigned long long>(campaign.warm_fork_cycle()));
-  std::printf("THROUGHPUT warm_fork_cold_seconds=%.4f\n", camp_cold_s);
-  std::printf("THROUGHPUT warm_fork_warm_seconds=%.4f\n", camp_warm_s);
-  std::printf("THROUGHPUT warm_fork_identical=%d\n", camp_identical ? 1 : 0);
   std::printf("THROUGHPUT campaign_scenarios=%zu\n", scenarios.size() + 1);
   std::printf("THROUGHPUT campaign_jobs1_seconds=%.4f\n", scaling_seconds[0]);
   std::printf("THROUGHPUT campaign_jobs2_seconds=%.4f\n", scaling_seconds[1]);
@@ -423,13 +397,10 @@ int main(int argc, char** argv) {
                         parallel_s > 0.0 ? serial_s / parallel_s : 0.0);
     telemetry.add_extra("ff_speedup", ff_speedup);
     telemetry.add_extra("dense_speedup", dense_speedup);
-    telemetry.add_extra("warm_fork_speedup",
-                        camp_warm_s > 0.0 ? camp_cold_s / camp_warm_s : 0.0);
     telemetry.add_extra("campaign_scenarios_per_sec", scenarios_per_sec);
     telemetry.finish();
   }
-  return identical && ff_identical && camp_identical && scaling_identical &&
-                 dense_identical
+  return identical && ff_identical && scaling_identical && dense_identical
              ? 0
              : 1;
 }

@@ -10,7 +10,6 @@
 #include <vector>
 
 #include "bus/port.hpp"
-#include "common/snapshot.hpp"
 #include "common/status.hpp"
 #include "common/types.hpp"
 
@@ -184,58 +183,6 @@ class Crossbar {
   /// was not blocked this cycle). Input to the SoC attribution walk.
   MasterId blocked_by(MasterId master) const {
     return blocked_by_[static_cast<unsigned>(master)];
-  }
-
-  /// Snapshot support. Only valid while idle(): transient wiring
-  /// (pending_ MasterPort*, active_port) is empty/null then, so the
-  /// durable state is statistics, arbitration pointers and armed
-  /// injection errors. Per-cycle observation fields are cleared.
-  void save_state(snapshot::Writer& w) const {
-    w.put_u32(static_cast<u32>(slaves_.size()));
-    for (const SlaveState& s : slave_state_) {
-      w.put_u32(static_cast<u32>(s.rr_next));
-      w.put_u64(s.error_arm);
-    }
-    for (const SlaveStats& s : stats_) {
-      w.put_u64(s.grants);
-      w.put_u64(s.reads);
-      w.put_u64(s.writes);
-      w.put_u64(s.wait_cycles);
-      w.put_u64(s.busy_cycles);
-      w.put_u64(s.contention_cycles);
-      w.put_u64(s.error_responses);
-    }
-    w.put_u32(static_cast<u32>(interference_.size()));
-    for (u64 v : interference_) w.put_u64(v);
-  }
-  void restore_state(snapshot::Reader& r) {
-    if (r.get_u32() != slaves_.size() && r.ok()) {
-      r.fail("crossbar slave count mismatch");
-      return;
-    }
-    for (SlaveState& s : slave_state_) {
-      s.rr_next = r.get_u32();
-      s.error_arm = r.get_u64();
-      s.busy = false;
-      s.active_port = nullptr;
-    }
-    for (SlaveStats& s : stats_) {
-      s.grants = r.get_u64();
-      s.reads = r.get_u64();
-      s.writes = r.get_u64();
-      s.wait_cycles = r.get_u64();
-      s.busy_cycles = r.get_u64();
-      s.contention_cycles = r.get_u64();
-      s.error_responses = r.get_u64();
-    }
-    if (r.get_u32() != interference_.size() && r.ok()) {
-      r.fail("crossbar interference size mismatch");
-      return;
-    }
-    for (u64& v : interference_) v = r.get_u64();
-    pending_.fill(nullptr);
-    blocked_by_.fill(MasterId::kCount);
-    observation_.clear();
   }
 
  private:

@@ -12,7 +12,6 @@
 #include <vector>
 
 #include "common/bits.hpp"
-#include "common/snapshot.hpp"
 #include "common/types.hpp"
 
 namespace audo::telemetry {
@@ -30,6 +29,8 @@ struct CacheConfig {
   unsigned line_bytes = 32;
   Replacement replacement = Replacement::kLru;
 
+  bool operator==(const CacheConfig&) const = default;
+
   unsigned num_sets() const {
     return size_bytes / (ways * line_bytes);
   }
@@ -46,6 +47,8 @@ struct CacheStats {
   u64 hits = 0;
   u64 misses = 0;
   u64 evictions = 0;
+
+  bool operator==(const CacheStats&) const = default;
 };
 
 class Cache {
@@ -78,42 +81,16 @@ class Cache {
   void register_metrics(telemetry::MetricsRegistry& registry,
                         std::string component) const;
 
-  /// Snapshot support: tags, replacement state and statistics. Geometry
-  /// (config, bit splits) is reconstructed from SocConfig, not restored.
-  void save_state(snapshot::Writer& w) const {
-    for (const Way& way : ways_) {
-      w.put_u32(way.tag);
-      w.put_bool(way.valid);
-      w.put_u64(way.lru_stamp);
-    }
-    w.put_bytes(plru_bits_.data(), plru_bits_.size());
-    for (unsigned n : rr_next_) w.put_u32(static_cast<u32>(n));
-    w.put_u64(stamp_);
-    w.put_u64(stats_.accesses);
-    w.put_u64(stats_.hits);
-    w.put_u64(stats_.misses);
-    w.put_u64(stats_.evictions);
-  }
-  void restore_state(snapshot::Reader& r) {
-    for (Way& way : ways_) {
-      way.tag = r.get_u32();
-      way.valid = r.get_bool();
-      way.lru_stamp = r.get_u64();
-    }
-    r.get_bytes_into(plru_bits_.data(), plru_bits_.size());
-    for (unsigned& n : rr_next_) n = r.get_u32();
-    stamp_ = r.get_u64();
-    stats_.accesses = r.get_u64();
-    stats_.hits = r.get_u64();
-    stats_.misses = r.get_u64();
-    stats_.evictions = r.get_u64();
-  }
+  /// Same geometry, tags, replacement state and statistics.
+  bool operator==(const Cache&) const = default;
 
  private:
   struct Way {
     u32 tag = 0;
     bool valid = false;
     u64 lru_stamp = 0;  // LRU: higher = more recent
+
+    bool operator==(const Way&) const = default;
   };
 
   u32 tag_of(Addr addr) const { return addr >> (offset_bits_ + index_bits_); }

@@ -61,18 +61,6 @@ class Prng {
   /// Bernoulli trial.
   bool chance(double p) { return next_double() < p; }
 
-  /// Snapshot support: the raw xoshiro state words. Restoring them
-  /// reproduces the exact continuation of the saved sequence.
-  static constexpr unsigned kStateWords = 4;
-  u64 state_word(unsigned i) const {
-    assert(i < kStateWords);
-    return state_[i];
-  }
-  void set_state_word(unsigned i, u64 v) {
-    assert(i < kStateWords);
-    state_[i] = v;
-  }
-
  private:
   static constexpr u64 rotl(u64 x, int k) {
     return (x << k) | (x >> (64 - k));

@@ -739,77 +739,4 @@ void Cpu::step(Cycle now, mcds::CoreObservation& obs) {
   }
 }
 
-// --------------------------------------------------------------------------
-// Snapshot support.
-
-void Cpu::save_state(snapshot::Writer& w) const {
-  for (u32 v : d_) w.put_u32(v);
-  for (u32 v : a_) w.put_u32(v);
-  w.put_u32(next_pc_);
-  w.put_u32(icr_);
-  w.put_u32(biv_);
-  w.put_u32(btv_);
-  w.put_u8(last_irq_prio_);
-  w.put_u32(scratch_cr_[0]);
-  w.put_u32(scratch_cr_[1]);
-  w.put_u32(static_cast<u32>(irq_stack_.size()));
-  for (const auto& [ret_pc, saved_icr] : irq_stack_) {
-    w.put_u32(ret_pc);
-    w.put_u32(saved_icr);
-  }
-  for (Cycle c : d_ready_) w.put_u64(c);
-  for (Cycle c : a_ready_) w.put_u64(c);
-  w.put_bool(halted_);
-  w.put_bool(wfi_);
-  w.put_bool(trap_pending_);
-  w.put_u8(trap_class_);
-  w.put_u64(retired_);
-  w.put_u64(cycles_);
-  w.put_u64(bus_errors_);
-  w.put_u64(traps_);
-}
-
-void Cpu::restore_state(snapshot::Reader& r) {
-  for (u32& v : d_) v = r.get_u32();
-  for (u32& v : a_) v = r.get_u32();
-  next_pc_ = r.get_u32();
-  icr_ = r.get_u32();
-  biv_ = r.get_u32();
-  btv_ = r.get_u32();
-  last_irq_prio_ = r.get_u8();
-  scratch_cr_[0] = r.get_u32();
-  scratch_cr_[1] = r.get_u32();
-  irq_stack_.clear();
-  const u32 frames = r.get_u32();
-  for (u32 i = 0; i < frames && r.ok(); ++i) {
-    const u32 ret_pc = r.get_u32();
-    const u32 saved_icr = r.get_u32();
-    irq_stack_.emplace_back(ret_pc, saved_icr);
-  }
-  for (Cycle& c : d_ready_) c = r.get_u64();
-  for (Cycle& c : a_ready_) c = r.get_u64();
-  halted_ = r.get_bool();
-  wfi_ = r.get_bool();
-  trap_pending_ = r.get_bool();
-  trap_class_ = r.get_u8();
-  retired_ = r.get_u64();
-  cycles_ = r.get_u64();
-  bus_errors_ = r.get_u64();
-  traps_ = r.get_u64();
-
-  // Park the front end and data side at idle — the quiescent capture
-  // point guarantees nothing was in flight, and any residual fetch-queue
-  // contents are unreachable (wake paths redirect and flush).
-  fetch_queue_.clear();
-  fetch_state_ = FetchState::kIdle;
-  fetch_discard_ = false;
-  fetch_ready_at_ = 0;
-  fetch_addr_ = 0;
-  fetch_words_ = 0;
-  fetch_pc_ = next_pc_;
-  load_pending_ = false;
-  store_pending_ = false;
-  pending_load_instr_ = isa::Instr{};
-}
-
 }  // namespace audo::cpu

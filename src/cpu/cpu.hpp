@@ -25,7 +25,6 @@
 
 #include "bus/crossbar.hpp"
 #include "cache/cache.hpp"
-#include "common/snapshot.hpp"
 #include "common/types.hpp"
 #include "isa/core_regs.hpp"
 #include "isa/isa.hpp"
@@ -231,15 +230,6 @@ class Cpu {
   /// Register the core's counters under `component` ("tc"/"pcp").
   void register_metrics(telemetry::MetricsRegistry& registry,
                         std::string component) const;
-
-  /// Snapshot support. Only valid while quiescent(): the fetch and data
-  /// paths are drained then, so the durable state is architectural
-  /// registers, the scoreboard (absolute-cycle deadlines), interrupt
-  /// context and counters. restore_state() parks the fetch machinery at
-  /// idle — any queued instructions at a quiescent point are dead, since
-  /// every wake path (interrupt, trap) redirects and flushes the queue.
-  void save_state(snapshot::Writer& w) const;
-  void restore_state(snapshot::Reader& r);
 
   u32 icr() const { return icr_; }
   Addr biv() const { return biv_; }

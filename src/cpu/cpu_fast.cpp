@@ -390,9 +390,9 @@ bool Cpu::fast_cycle(FastWindow& fw, Cycle now, mcds::CoreObservation& obs) {
   if (deliver_words != 0) {
     if (blk.pspr) {
       // The accurate delivery reads each word through the counted
-      // scratchpad path; mirror the counter bumps (registered metrics
-      // and snapshot state). Flash-backed delivery reads the backdoor
-      // array, which has no observable side effects.
+      // scratchpad path; mirror its counter bumps (registered metrics).
+      // Flash-backed delivery reads the backdoor array, which has no
+      // observable side effects.
       for (unsigned w = 0; w < deliver_words; ++w) {
         (void)env_.code_spr->read(fetch_addr_ + w * isa::kInstrBytes, 4);
       }

@@ -32,7 +32,6 @@
 #include <string_view>
 #include <vector>
 
-#include "common/snapshot.hpp"
 #include "common/types.hpp"
 #include "fault/safety.hpp"
 #include "mem/mem_array.hpp"
@@ -133,26 +132,6 @@ class EccDomain final : public mem::MemFaultHook {
 
   usize pending_records() const { return records_.size(); }
 
-  /// Snapshot support: pending ECC fault records. Attachment wiring is
-  /// reconstructed by bind().
-  void save_state(snapshot::Writer& w) const {
-    w.put_u32(static_cast<u32>(records_.size()));
-    for (const Record& rec : records_) {
-      w.put_u32(rec.word_offset);
-      w.put_u8(rec.bits);
-    }
-  }
-  void restore_state(snapshot::Reader& r) {
-    records_.clear();
-    const u32 count = r.get_u32();
-    for (u32 i = 0; i < count && r.ok(); ++i) {
-      Record rec{};
-      rec.word_offset = r.get_u32();
-      rec.bits = r.get_u8();
-      records_.push_back(rec);
-    }
-  }
-
  private:
   struct Record {
     u32 word_offset;
@@ -213,34 +192,6 @@ class FaultInjector {
 
   void register_metrics(telemetry::MetricsRegistry& registry,
                         std::string_view component) const;
-
-  /// Snapshot support: plan cursor, active storms, injection counters and
-  /// pending ECC records. The plan itself is input data — restore into an
-  /// injector constructed from the same plan (and bound to the same
-  /// targets; the binding re-attaches the ECC hooks).
-  void save_state(snapshot::Writer& w) const {
-    w.put_u64(next_);
-    w.put_u32(static_cast<u32>(storms_.size()));
-    for (const Storm& s : storms_) {
-      w.put_u32(static_cast<u32>(s.src));
-      w.put_u64(s.until);
-    }
-    for (u64 v : injected_) w.put_u64(v);
-    for (const EccDomain& d : domains_) d.save_state(w);
-  }
-  void restore_state(snapshot::Reader& r) {
-    next_ = r.get_u64();
-    storms_.clear();
-    const u32 storm_count = r.get_u32();
-    for (u32 i = 0; i < storm_count && r.ok(); ++i) {
-      Storm s{};
-      s.src = r.get_u32();
-      s.until = r.get_u64();
-      storms_.push_back(s);
-    }
-    for (u64& v : injected_) v = r.get_u64();
-    for (EccDomain& d : domains_) d.restore_state(r);
-  }
 
  private:
   void fire(const FaultEvent& ev, Cycle now);

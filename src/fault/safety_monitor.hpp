@@ -21,7 +21,6 @@
 #include <array>
 #include <string_view>
 
-#include "common/snapshot.hpp"
 #include "common/types.hpp"
 #include "fault/safety.hpp"
 #include "mcds/observation.hpp"
@@ -80,22 +79,6 @@ class SafetyMonitor {
 
   void register_metrics(telemetry::MetricsRegistry& registry,
                         std::string_view component) const;
-
-  /// Snapshot support: lifetime totals and the watchdog-delta reference.
-  /// Per-cycle pending alarms and the in-flight observation are empty at
-  /// a quiescent capture point and cleared on restore.
-  void save_state(snapshot::Writer& w) const {
-    for (u64 t : totals_) w.put_u64(t);
-    w.put_u64(last_wdt_timeouts_);
-    w.put_u64(reactions_fired_);
-  }
-  void restore_state(snapshot::Reader& r) {
-    for (u64& t : totals_) t = r.get_u64();
-    last_wdt_timeouts_ = r.get_u64();
-    reactions_fired_ = r.get_u64();
-    pending_.fill(0);
-    obs_ = mcds::SafetyObservation{};
-  }
 
  private:
   void react(AlarmKind kind, Cycle now);

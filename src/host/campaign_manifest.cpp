@@ -22,7 +22,6 @@ std::string header_line(const CampaignHeader& h) {
   w.kv("workload", h.workload);
   w.kv("campaign_seed", h.campaign_seed);
   w.kv("config_fingerprint", h.config_fingerprint);
-  w.kv("snapshot_hash", h.snapshot_hash);
   w.kv("scenario_count", h.scenario_count);
   w.end_object();
   return std::move(w).str();
@@ -173,7 +172,6 @@ Result<ManifestContents> CampaignManifest::load(const std::string& path) {
       out.header.workload = get_string(obj, "workload");
       out.header.campaign_seed = get_u64(obj, "campaign_seed");
       out.header.config_fingerprint = get_u64(obj, "config_fingerprint");
-      out.header.snapshot_hash = get_u64(obj, "snapshot_hash");
       out.header.scenario_count = get_u64(obj, "scenario_count");
       have_header = true;
       continue;

@@ -1,6 +1,6 @@
 // Crash-resilient campaign journal: an append-only JSONL manifest that
 // records the identity of a fault campaign (workload, seed, configuration
-// fingerprint, boot-image hash) followed by one line per completed
+// fingerprint, scenario count) followed by one line per completed
 // scenario. Because every line is flushed and fsync()ed as it is
 // appended, a campaign killed at any point — including kill -9 mid-write
 // — leaves a manifest whose intact prefix is a faithful record of the
@@ -32,9 +32,6 @@ struct CampaignHeader {
   std::string workload;
   u64 campaign_seed = 0;
   u64 config_fingerprint = 0;
-  /// Checksum of the warm boot image the campaign forks scenarios from
-  /// (0 when running cold-boot).
-  u64 snapshot_hash = 0;
   u64 scenario_count = 0;
 };
 

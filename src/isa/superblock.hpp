@@ -13,8 +13,8 @@
 // modified at runtime mismatches and falls back to the accurate stepper
 // (which re-reads memory and re-decodes). On top of that, the owning Soc
 // routes every runtime code-write path (scratchpad stores, DMA, program
-// reload, snapshot restore) through one shared invalidation funnel that
-// drops the affected chunks eagerly.
+// reload) through one shared invalidation funnel that drops the affected
+// chunks eagerly.
 #pragma once
 
 #include <memory>
@@ -89,7 +89,7 @@ class SuperblockCache {
   /// Drop every chunk overlapping [addr, addr + bytes) — the shared
   /// invalidation funnel for runtime code writes.
   void invalidate(Addr addr, u32 bytes);
-  /// Drop everything (program reload, snapshot restore, injector attach).
+  /// Drop everything (fault-injector attach and detach).
   void invalidate_all();
 
   const Stats& stats() const { return stats_; }

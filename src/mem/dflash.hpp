@@ -64,17 +64,6 @@ class DFlashSlave final : public bus::BusSlave {
     registry.counter(std::move(component), "writes", &writes_);
   }
 
-  void save_state(snapshot::Writer& w) const {
-    array_.save_state(w);
-    w.put_u64(reads_);
-    w.put_u64(writes_);
-  }
-  void restore_state(snapshot::Reader& r) {
-    array_.restore_state(r);
-    reads_ = r.get_u64();
-    writes_ = r.get_u64();
-  }
-
  private:
   Addr base_;
   DFlashConfig config_;

@@ -1,11 +1,11 @@
 // Byte-addressable backing storage shared by all memory models.
 #pragma once
 
+#include <algorithm>
 #include <cassert>
 #include <span>
 #include <vector>
 
-#include "common/snapshot.hpp"
 #include "common/types.hpp"
 
 namespace audo::mem {
@@ -109,18 +109,6 @@ class MemArray {
 
   /// Accesses outside the array since construction (sticky diagnostic).
   u64 violations() const { return violations_; }
-
-  /// Snapshot support. The hook pointer is wiring, not state — it is
-  /// untouched by restore; size is a structural invariant checked by the
-  /// fixed-length read.
-  void save_state(snapshot::Writer& w) const {
-    w.put_bytes(bytes_.data(), bytes_.size());
-    w.put_u64(violations_);
-  }
-  void restore_state(snapshot::Reader& r) {
-    r.get_bytes_into(bytes_.data(), bytes_.size());
-    violations_ = r.get_u64();
-  }
 
   bool operator==(const MemArray& other) const { return bytes_ == other.bytes_; }
 

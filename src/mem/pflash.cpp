@@ -159,67 +159,4 @@ u32 PFlash::Port::complete_access(const bus::BusRequest& req) {
   return flash_->array_.read(pflash_offset(req.addr), req.bytes);
 }
 
-void PFlash::save_state(snapshot::Writer& w) const {
-  const auto save_port = [&w](const Port& port) {
-    w.put_u32(static_cast<u32>(port.buffers_.size()));
-    for (const BufferEntry& e : port.buffers_) {
-      w.put_u32(e.line);
-      w.put_u64(e.available_at);
-      w.put_u64(e.last_used);
-      w.put_bool(e.valid);
-      w.put_bool(e.prefetched);
-    }
-  };
-  array_.save_state(w);
-  save_port(code_port_);
-  save_port(data_port_);
-  w.put_u8(static_cast<u8>(code_port_.access_class_));
-  w.put_u8(static_cast<u8>(data_port_.access_class_));
-  w.put_u64(now_);
-  w.put_u64(array_free_at_);
-  w.put_u64(stats_.code_accesses);
-  w.put_u64(stats_.code_buffer_hits);
-  w.put_u64(stats_.data_accesses);
-  w.put_u64(stats_.data_buffer_hits);
-  w.put_u64(stats_.array_fetches);
-  w.put_u64(stats_.prefetches_issued);
-  w.put_u64(stats_.prefetch_hits);
-  w.put_u64(stats_.port_conflict_cycles);
-  w.put_u64(stats_.illegal_writes);
-}
-
-void PFlash::restore_state(snapshot::Reader& r) {
-  const auto restore_port = [&r](Port& port) {
-    const u32 count = r.get_u32();
-    if (r.ok() && count != port.buffers_.size()) {
-      r.fail("pflash buffer count mismatch");
-      return;
-    }
-    for (BufferEntry& e : port.buffers_) {
-      e.line = r.get_u32();
-      e.available_at = r.get_u64();
-      e.last_used = r.get_u64();
-      e.valid = r.get_bool();
-      e.prefetched = r.get_bool();
-    }
-  };
-  array_.restore_state(r);
-  restore_port(code_port_);
-  restore_port(data_port_);
-  code_port_.access_class_ = static_cast<AccessClass>(r.get_u8());
-  data_port_.access_class_ = static_cast<AccessClass>(r.get_u8());
-  now_ = r.get_u64();
-  array_free_at_ = r.get_u64();
-  stats_.code_accesses = r.get_u64();
-  stats_.code_buffer_hits = r.get_u64();
-  stats_.data_accesses = r.get_u64();
-  stats_.data_buffer_hits = r.get_u64();
-  stats_.array_fetches = r.get_u64();
-  stats_.prefetches_issued = r.get_u64();
-  stats_.prefetch_hits = r.get_u64();
-  stats_.port_conflict_cycles = r.get_u64();
-  stats_.illegal_writes = r.get_u64();
-  strobes_ = Strobes{};
-}
-
 }  // namespace audo::mem

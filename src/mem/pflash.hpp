@@ -17,7 +17,6 @@
 #include <vector>
 
 #include "bus/port.hpp"
-#include "common/snapshot.hpp"
 #include "common/types.hpp"
 #include "mem/mem_array.hpp"
 
@@ -108,12 +107,6 @@ class PFlash {
   /// Register the flash counters under `component` (e.g. "pflash").
   void register_metrics(telemetry::MetricsRegistry& registry,
                         std::string component) const;
-
-  /// Snapshot support: array contents, both ports' buffer state, array
-  /// occupancy and statistics. Per-cycle strobes are cleared on restore —
-  /// the quiescent capture point guarantees they were empty anyway.
-  void save_state(snapshot::Writer& w) const;
-  void restore_state(snapshot::Reader& r);
 
  private:
   struct BufferEntry {

@@ -34,9 +34,6 @@ class SramSlave final : public bus::BusSlave {
   Addr base() const { return base_; }
   unsigned latency() const { return latency_; }
 
-  void save_state(snapshot::Writer& w) const { array_.save_state(w); }
-  void restore_state(snapshot::Reader& r) { array_.restore_state(r); }
-
  private:
   std::string name_;
   Addr base_;
@@ -89,17 +86,6 @@ class Scratchpad {
                         std::string component) const {
     registry.counter(component, "reads", &reads_);
     registry.counter(std::move(component), "writes", &writes_);
-  }
-
-  void save_state(snapshot::Writer& w) const {
-    array_.save_state(w);
-    w.put_u64(reads_);
-    w.put_u64(writes_);
-  }
-  void restore_state(snapshot::Reader& r) {
-    array_.restore_state(r);
-    reads_ = r.get_u64();
-    writes_ = r.get_u64();
   }
 
  private:

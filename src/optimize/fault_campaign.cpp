@@ -96,8 +96,8 @@ u64 state_signature(soc::Soc& soc) {
   return fnv1a_words(h, soc.dspr().array().bytes());
 }
 
-/// Cycle of the plan's earliest event (~0 when there is none) — the warm
-/// fork point must lie strictly before it so every event still fires.
+/// Cycle of the plan's earliest event (~0 when there is none): the cycle
+/// whose TC task the campaign attributes the scenario to.
 Cycle first_event_cycle(const fault::FaultPlan* plan) {
   Cycle first = ~Cycle{0};
   if (plan != nullptr) {
@@ -139,11 +139,6 @@ class AttributionFeed final : public soc::FrameObserver {
 /// fast-forward budget wakes; cycles, signatures and classification are
 /// untouched.
 constexpr u64 kTimeoutCheckChunk = 1u << 20;
-
-/// Boot-probe bound for prepare_warm_fork: how far into the golden run
-/// it looks for a quiescent point; workloads still busy after this many
-/// cycles boot cold.
-constexpr Cycle kBootProbeLimit = 65'536;
 
 }  // namespace
 
@@ -260,53 +255,11 @@ u64 FaultCampaign::budget_cycles() const {
   return std::min<u64>(budget, soc::Soc::kDefaultRunBudget);
 }
 
-u64 FaultCampaign::prepare_warm_fork(
-    const std::vector<FaultScenario>& scenarios) {
-  boot_ = soc::Snapshot{};
-  Cycle earliest = ~Cycle{0};
-  for (const FaultScenario& sc : scenarios) {
-    earliest = std::min(earliest, first_event_cycle(&sc.plan));
-  }
-  if (earliest == 0) return 0;
-  const Cycle limit = std::min<Cycle>(
-      {earliest - 1, budget_cycles() / 2, kBootProbeLimit});
-  if (limit == 0) return 0;
-
-  const auto boot = [&](soc::Soc& soc) {
-    if (!soc.load(workload_.program).is_ok()) return false;
-    if (workload_.configure) workload_.configure(soc);
-    soc.reset(workload_.tc_entry, workload_.pcp_entry);
-    return true;
-  };
-
-  // Pass 1: find the last quiescent cycle before `limit` (maximizing the
-  // boot prefix every fork skips).
-  soc::Soc probe(config_);
-  if (!boot(probe)) return 0;
-  Cycle last_q = 0;
-  while (probe.cycle() < limit && !probe.tc().halted()) {
-    probe.step();
-    if (probe.quiescent()) last_q = probe.cycle();
-  }
-  if (last_q == 0) return 0;
-
-  // Pass 2: re-boot a fresh machine to exactly that cycle and capture.
-  soc::Soc warm(config_);
-  if (!boot(warm)) return 0;
-  while (warm.cycle() < last_q && !warm.tc().halted()) warm.step();
-  if (warm.cycle() != last_q || !warm.quiescent()) return 0;
-  Result<soc::Snapshot> snap = warm.save_snapshot();
-  if (!snap.is_ok()) return 0;
-  boot_ = std::move(snap).value();
-  return boot_.checksum();
-}
-
 ScenarioResult FaultCampaign::run_one_with_retries(
-    const fault::FaultPlan* plan, const fault::SafetyConfig& safety,
-    const soc::Snapshot* boot) const {
+    const fault::FaultPlan* plan, const fault::SafetyConfig& safety) const {
   for (unsigned attempt = 1; attempt <= retries_ + 1; ++attempt) {
     try {
-      ScenarioResult r = run_one(plan, safety, boot);
+      ScenarioResult r = run_one(plan, safety);
       r.attempts = attempt;
       return r;
     } catch (const std::exception&) {
@@ -330,8 +283,7 @@ ScenarioResult FaultCampaign::run_one_with_retries(
 }
 
 ScenarioResult FaultCampaign::run_one(const fault::FaultPlan* plan,
-                                      const fault::SafetyConfig& safety,
-                                      const soc::Snapshot* boot) const {
+                                      const fault::SafetyConfig& safety) const {
   ScenarioResult r;
   r.budget_cycles = budget_cycles();
   r.timeout_ms = timeout_ms_;
@@ -358,21 +310,8 @@ ScenarioResult FaultCampaign::run_one(const fault::FaultPlan* plan,
   if (plan != nullptr) soc.set_fault_injector(&injector);
   soc.reset(workload_.tc_entry, workload_.pcp_entry);
 
-  // Warm fork: restore the shared boot image instead of replaying the
-  // boot prefix. Scenarios whose first event falls inside that prefix
-  // boot cold (the event must still fire); a restore failure also falls
-  // back to cold, since correctness never depends on the fork.
-  if (boot != nullptr && boot->cycle < first_event_cycle(plan) &&
-      boot->cycle < r.budget_cycles) {
-    if (!soc.restore_snapshot(*boot).is_ok()) {
-      return run_one(plan, safety, nullptr);
-    }
-  }
-
   if (timeout_ms_ == 0) {
-    if (soc.cycle() < r.budget_cycles) {
-      soc.run(r.budget_cycles - soc.cycle());
-    }
+    soc.run(r.budget_cycles);
   } else {
     // Chunked run so the wall clock is checked at bounded intervals.
     // Chunk boundaries are invisible to the simulation (fast-forward
@@ -428,11 +367,10 @@ FaultOutcome FaultCampaign::classify(const ScenarioResult& run,
 CampaignSummary FaultCampaign::run(
     const std::vector<FaultScenario>& scenarios) const {
   CampaignSummary summary;
-  const soc::Snapshot* boot = has_warm_fork() ? &boot_ : nullptr;
   // Golden reference under the campaign's base safety config; scenarios
   // only diverge from it via their injected faults (per-scenario safety
   // tweaks like ECC-off change nothing in a fault-free run).
-  summary.golden = run_one_with_retries(nullptr, config_.safety, boot);
+  summary.golden = run_one_with_retries(nullptr, config_.safety);
   summary.golden.name = "golden";
 
   // Resume index: journaled results from a previous (interrupted)
@@ -458,7 +396,7 @@ CampaignSummary FaultCampaign::run(
           r.aborted = true;
           return r;
         }
-        ScenarioResult r = run_one_with_retries(&sc.plan, sc.safety, boot);
+        ScenarioResult r = run_one_with_retries(&sc.plan, sc.safety);
         r.name = sc.name;
         r.seed = sc.seed;
         // Classify in the worker so the journal records the final

@@ -27,7 +27,6 @@
 #include "fault/safety.hpp"
 #include "host/campaign_manifest.hpp"
 #include "optimize/evaluator.hpp"
-#include "soc/snapshot.hpp"
 #include "soc/soc_config.hpp"
 
 namespace audo::telemetry {
@@ -154,24 +153,9 @@ class FaultCampaign {
   /// the partial summary + manifest stay consistent.
   void set_abort_flag(const std::atomic<bool>* flag) { abort_ = flag; }
 
-  // ---- warm fork -----------------------------------------------------
-
-  /// Boot the workload once to the last quiescent cycle before the
-  /// earliest fault event of `scenarios`, snapshot it, and fork every
-  /// run (golden included) from that image. Returns the image checksum,
-  /// or 0 when no usable quiescent point exists (everything then boots
-  /// cold, which is always correct). Scenarios whose first event lands
-  /// at or before the fork cycle individually fall back to cold boot.
-  u64 prepare_warm_fork(const std::vector<FaultScenario>& scenarios);
-  void clear_warm_fork() { boot_ = soc::Snapshot{}; }
-  bool has_warm_fork() const { return !boot_.payload.empty(); }
-  Cycle warm_fork_cycle() const { return boot_.cycle; }
-  u64 warm_fork_hash() const {
-    return has_warm_fork() ? boot_.checksum() : 0;
-  }
-  /// The prepared boot image (empty payload when none); e.g. for
-  /// persisting with soc::Snapshot::to_file.
-  const soc::Snapshot& warm_fork_image() const { return boot_; }
+  /// Always 0: every run boots cold. Kept for perfbench/workloads.cpp,
+  /// which still calls it.
+  u64 prepare_warm_fork(const std::vector<FaultScenario>&) { return 0; }
 
   // ---- resume --------------------------------------------------------
 
@@ -206,11 +190,9 @@ class FaultCampaign {
 
  private:
   ScenarioResult run_one(const fault::FaultPlan* plan,
-                         const fault::SafetyConfig& safety,
-                         const soc::Snapshot* boot) const;
+                         const fault::SafetyConfig& safety) const;
   ScenarioResult run_one_with_retries(const fault::FaultPlan* plan,
-                                      const fault::SafetyConfig& safety,
-                                      const soc::Snapshot* boot) const;
+                                      const fault::SafetyConfig& safety) const;
   static FaultOutcome classify(const ScenarioResult& run,
                                const ScenarioResult& golden);
 
@@ -220,7 +202,6 @@ class FaultCampaign {
   u64 timeout_ms_ = 0;
   unsigned retries_ = 2;
   const std::atomic<bool>* abort_ = nullptr;
-  soc::Snapshot boot_;  // empty payload = no warm fork prepared
   host::CampaignManifest* manifest_ = nullptr;
   const std::vector<host::ScenarioRecord>* resume_ = nullptr;
 };

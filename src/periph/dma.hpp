@@ -15,7 +15,6 @@
 #include <vector>
 
 #include "bus/crossbar.hpp"
-#include "common/snapshot.hpp"
 #include "common/types.hpp"
 #include "cpu/cpu.hpp"
 #include "mcds/observation.hpp"
@@ -78,61 +77,6 @@ class DmaController final : public SfrDevice {
   /// Register per-channel counters under `component` (e.g. "dma").
   void register_metrics(telemetry::MetricsRegistry& registry,
                         std::string component) const;
-
-  /// Snapshot support. Only valid while quiescent(): no unit is in
-  /// flight, so the durable state is channel programming, progress and
-  /// statistics. done_src wiring is reconstructed by the SoC.
-  void save_state(snapshot::Writer& w) const {
-    w.put_u32(static_cast<u32>(channels_.size()));
-    for (const Channel& ch : channels_) {
-      w.put_u64(ch.config.src);
-      w.put_u64(ch.config.dst);
-      w.put_u32(ch.config.count);
-      w.put_u8(ch.config.bytes);
-      w.put_u32(static_cast<u32>(ch.config.src_step));
-      w.put_u32(static_cast<u32>(ch.config.dst_step));
-      w.put_bool(ch.config.continuous);
-      w.put_u32(ch.config.units_per_trigger);
-      w.put_bool(ch.enabled);
-      w.put_u64(ch.src);
-      w.put_u64(ch.dst);
-      w.put_u32(ch.remaining);
-      w.put_u32(ch.credit);
-      w.put_u64(ch.stats.units);
-      w.put_u64(ch.stats.blocks);
-      w.put_u64(ch.stats.triggers);
-    }
-    w.put_u32(static_cast<u32>(rr_next_));
-  }
-  void restore_state(snapshot::Reader& r) {
-    if (r.get_u32() != channels_.size() && r.ok()) {
-      r.fail("dma channel count mismatch");
-      return;
-    }
-    for (Channel& ch : channels_) {
-      ch.config.src = r.get_u64();
-      ch.config.dst = r.get_u64();
-      ch.config.count = r.get_u32();
-      ch.config.bytes = r.get_u8();
-      ch.config.src_step = static_cast<i32>(r.get_u32());
-      ch.config.dst_step = static_cast<i32>(r.get_u32());
-      ch.config.continuous = r.get_bool();
-      ch.config.units_per_trigger = r.get_u32();
-      ch.enabled = r.get_bool();
-      ch.src = r.get_u64();
-      ch.dst = r.get_u64();
-      ch.remaining = r.get_u32();
-      ch.credit = r.get_u32();
-      ch.stats.units = r.get_u64();
-      ch.stats.blocks = r.get_u64();
-      ch.stats.triggers = r.get_u64();
-    }
-    rr_next_ = r.get_u32();
-    phase_ = Phase::kIdle;
-    active_ = 0;
-    unit_data_ = 0;
-    observation_ = mcds::DmaObservation{};
-  }
 
  private:
   struct Channel {

@@ -11,7 +11,6 @@
 #include <string>
 #include <vector>
 
-#include "common/snapshot.hpp"
 #include "common/types.hpp"
 #include "cpu/cpu.hpp"
 
@@ -73,38 +72,6 @@ class IrqRouter {
   /// pointers into the node table.
   void register_metrics(telemetry::MetricsRegistry& registry,
                         std::string_view component) const;
-
-  /// Snapshot support: node configuration, pending bits and lifetime
-  /// counters. Node names are construction wiring; the per-cycle raise
-  /// record is empty at a quiescent capture point and cleared on restore.
-  void save_state(snapshot::Writer& w) const {
-    w.put_u32(static_cast<u32>(nodes_.size()));
-    for (const SrcNode& n : nodes_) {
-      w.put_u8(n.priority);
-      w.put_u8(static_cast<u8>(n.target));
-      w.put_bool(n.enabled);
-      w.put_bool(n.pending);
-      w.put_u64(n.posted);
-      w.put_u64(n.serviced);
-      w.put_u64(n.lost);
-    }
-  }
-  void restore_state(snapshot::Reader& r) {
-    if (r.get_u32() != nodes_.size() && r.ok()) {
-      r.fail("irq source count mismatch");
-      return;
-    }
-    for (SrcNode& n : nodes_) {
-      n.priority = r.get_u8();
-      n.target = static_cast<IrqTarget>(r.get_u8());
-      n.enabled = r.get_bool();
-      n.pending = r.get_bool();
-      n.posted = r.get_u64();
-      n.serviced = r.get_u64();
-      n.lost = r.get_u64();
-    }
-    raise_count_ = 0;
-  }
 
   /// Core-facing views. The DMA view makes the router able to trigger
   /// DMA channels directly, as the TriCore interrupt system can.

@@ -9,7 +9,6 @@
 #include <optional>
 
 #include "common/prng.hpp"
-#include "common/snapshot.hpp"
 #include "common/types.hpp"
 #include "periph/irq_router.hpp"
 #include "periph/sfr_bridge.hpp"
@@ -39,23 +38,6 @@ class Stm final : public SfrDevice {
   void skip(u64 n) { counter_ += n; }
 
   u64 counter() const { return counter_; }
-
-  void save_state(snapshot::Writer& w) const {
-    w.put_u64(counter_);
-    w.put_u64(next_fire_[0]);
-    w.put_u64(next_fire_[1]);
-    w.put_u32(period_[0]);
-    w.put_u32(period_[1]);
-    w.put_u32(ctrl_);
-  }
-  void restore_state(snapshot::Reader& r) {
-    counter_ = r.get_u64();
-    next_fire_[0] = r.get_u64();
-    next_fire_[1] = r.get_u64();
-    period_[0] = r.get_u32();
-    period_[1] = r.get_u32();
-    ctrl_ = r.get_u32();
-  }
 
  private:
   IrqRouter* router_;
@@ -100,23 +82,6 @@ class Watchdog final : public SfrDevice {
   u64 early_services() const { return early_services_; }
   u64 bad_services() const { return bad_services_; }
   static constexpr u32 kServiceKey = 0x5AFE;
-
-  void save_state(snapshot::Writer& w) const {
-    w.put_u32(period_);
-    w.put_u32(window_);
-    w.put_u32(remaining_);
-    w.put_u64(timeouts_);
-    w.put_u64(early_services_);
-    w.put_u64(bad_services_);
-  }
-  void restore_state(snapshot::Reader& r) {
-    period_ = r.get_u32();
-    window_ = r.get_u32();
-    remaining_ = r.get_u32();
-    timeouts_ = r.get_u64();
-    early_services_ = r.get_u64();
-    bad_services_ = r.get_u64();
-  }
 
  private:
   IrqRouter* router_;
@@ -177,25 +142,6 @@ class CrankWheel final : public SfrDevice {
   u64 revolutions() const { return revs_; }
   unsigned tooth() const { return tooth_; }
 
-  void save_state(snapshot::Writer& w) const {
-    w.put_u32(config_.time_scale);
-    w.put_u32(rpm_);
-    w.put_u64(cycles_per_tooth_);
-    w.put_u64(countdown_);
-    w.put_u32(static_cast<u32>(tooth_));
-    w.put_u64(revs_);
-    w.put_u64(last_tooth_cycle_);
-  }
-  void restore_state(snapshot::Reader& r) {
-    config_.time_scale = r.get_u32();
-    rpm_ = r.get_u32();
-    cycles_per_tooth_ = r.get_u64();
-    countdown_ = r.get_u64();
-    tooth_ = r.get_u32();
-    revs_ = r.get_u64();
-    last_tooth_cycle_ = r.get_u64();
-  }
-
  private:
   void recompute_period();
 
@@ -239,34 +185,6 @@ class Adc final : public SfrDevice {
 
   u32 last_result() const { return result_; }
   u64 conversions() const { return conversions_; }
-
-  void save_state(snapshot::Writer& w) const {
-    w.put_u32(period_);
-    w.put_u32(channel_);
-    for (unsigned i = 0; i < Prng::kStateWords; ++i) {
-      w.put_u64(prng_.state_word(i));
-    }
-    w.put_u32(result_);
-    w.put_u64(conversions_);
-    w.put_bool(done_at_.has_value());
-    w.put_u64(done_at_.value_or(0));
-    w.put_u64(next_auto_);
-    w.put_u64(last_step_);
-  }
-  void restore_state(snapshot::Reader& r) {
-    period_ = r.get_u32();
-    channel_ = r.get_u32();
-    for (unsigned i = 0; i < Prng::kStateWords; ++i) {
-      prng_.set_state_word(i, r.get_u64());
-    }
-    result_ = r.get_u32();
-    conversions_ = r.get_u64();
-    const bool has_done = r.get_bool();
-    const Cycle done = r.get_u64();
-    done_at_ = has_done ? std::optional<Cycle>(done) : std::nullopt;
-    next_auto_ = r.get_u64();
-    last_step_ = r.get_u64();
-  }
 
  private:
   u32 sample(Cycle now);
@@ -314,32 +232,6 @@ class CanLite final : public SfrDevice {
   u64 rx_frames() const { return rx_frames_; }
   u64 rx_overruns() const { return rx_overruns_; }
   u64 tx_frames() const { return tx_frames_; }
-
-  void save_state(snapshot::Writer& w) const {
-    w.put_u32(rx_period_);
-    w.put_u64(next_rx_);
-    w.put_u32(rx_data_);
-    w.put_bool(rx_pending_);
-    w.put_u64(rx_frames_);
-    w.put_u64(rx_overruns_);
-    w.put_bool(tx_done_at_.has_value());
-    w.put_u64(tx_done_at_.value_or(0));
-    w.put_u64(tx_frames_);
-    w.put_u64(last_step_);
-  }
-  void restore_state(snapshot::Reader& r) {
-    rx_period_ = r.get_u32();
-    next_rx_ = r.get_u64();
-    rx_data_ = r.get_u32();
-    rx_pending_ = r.get_bool();
-    rx_frames_ = r.get_u64();
-    rx_overruns_ = r.get_u64();
-    const bool has_tx = r.get_bool();
-    const Cycle tx_done = r.get_u64();
-    tx_done_at_ = has_tx ? std::optional<Cycle>(tx_done) : std::nullopt;
-    tx_frames_ = r.get_u64();
-    last_step_ = r.get_u64();
-  }
 
  private:
   Config config_;

@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "bus/port.hpp"
-#include "common/snapshot.hpp"
 #include "common/types.hpp"
 #include "mem/memory_map.hpp"
 
@@ -44,7 +43,6 @@ class PeriphBridge final : public bus::BusSlave {
         return faults_.empty() ? value : apply_sfr_fault(offset, value);
       }
     }
-    ++unmapped_;
     return 0;
   }
 
@@ -59,32 +57,6 @@ class PeriphBridge final : public bus::BusSlave {
   std::string_view name() const override { return "PBridge"; }
 
   u64 faulted_reads() const { return faulted_reads_; }
-
-  /// Snapshot support: armed stuck-SFR faults and access diagnostics.
-  /// Device ranges are construction wiring.
-  void save_state(snapshot::Writer& w) const {
-    w.put_u32(static_cast<u32>(faults_.size()));
-    for (const SfrFault& f : faults_) {
-      w.put_u32(f.offset);
-      w.put_u32(f.value);
-      w.put_u64(f.reads_left);
-    }
-    w.put_u64(unmapped_);
-    w.put_u64(faulted_reads_);
-  }
-  void restore_state(snapshot::Reader& r) {
-    faults_.clear();
-    const u32 count = r.get_u32();
-    for (u32 i = 0; i < count && r.ok(); ++i) {
-      SfrFault f{};
-      f.offset = r.get_u32();
-      f.value = r.get_u32();
-      f.reads_left = r.get_u64();
-      faults_.push_back(f);
-    }
-    unmapped_ = r.get_u64();
-    faulted_reads_ = r.get_u64();
-  }
 
  private:
   struct Range {
@@ -114,7 +86,6 @@ class PeriphBridge final : public bus::BusSlave {
   unsigned latency_;
   std::vector<Range> ranges_;
   std::vector<SfrFault> faults_;
-  u64 unmapped_ = 0;
   u64 faulted_reads_ = 0;
 };
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "common/snapshot.hpp"
 #include "fault/fault_injector.hpp"
 #include "mem/memory_map.hpp"
 #include "soc/tracer.hpp"
@@ -887,182 +886,6 @@ u64 Soc::run(u64 max_cycles, FrameSink* sink) {
     steps += idle;
   }
   return steps;
-}
-
-// --------------------------------------------------------------------------
-// Snapshot / restore.
-
-namespace {
-// Section tags (little-endian fourcc) so a reader failure names the
-// component group it happened in.
-constexpr u32 kTagTop = 0x20504F54;     // "TOP "
-constexpr u32 kTagCores = 0x45524F43;   // "CORE"
-constexpr u32 kTagMem = 0x204D454D;     // "MEM "
-constexpr u32 kTagCache = 0x48434143;   // "CACH"
-constexpr u32 kTagBus = 0x20535542;     // "BUS "
-constexpr u32 kTagPeriph = 0x49524550;  // "PERI"
-constexpr u32 kTagSafety = 0x45464153;  // "SAFE"
-constexpr u32 kTagFault = 0x544C4146;   // "FALT"
-}  // namespace
-
-Result<Snapshot> Soc::save_snapshot() const {
-  if (!quiescent()) {
-    return error(StatusCode::kFailedPrecondition,
-                 "snapshot requires a quiescent SoC (cores parked, "
-                 "pipelines and fabric drained)");
-  }
-  snapshot::Writer w;
-  w.begin_section(kTagTop);
-  w.put_u64(cycle_);
-  w.put_bool(idle_deadlock_);
-  w.put_u64(ff_stats_.skipped_cycles);
-  w.put_u64(ff_stats_.wakeups);
-  for (u64 v : ff_stats_.wake_counts) w.put_u64(v);
-  for (u64 v : tc_stall_totals_.cycles) w.put_u64(v);
-  for (u64 v : pcp_stall_totals_.cycles) w.put_u64(v);
-  w.end_section();
-
-  w.begin_section(kTagCores);
-  tc_->save_state(w);
-  w.put_bool(pcp_ != nullptr);
-  if (pcp_ != nullptr) pcp_->save_state(w);
-  w.end_section();
-
-  w.begin_section(kTagMem);
-  pflash_.save_state(w);
-  dflash_.save_state(w);
-  lmu_.save_state(w);
-  dspr_.save_state(w);
-  pspr_.save_state(w);
-  w.put_bool(pcp_pram_ != nullptr);
-  if (pcp_pram_ != nullptr) {
-    pcp_pram_->save_state(w);
-    pcp_dram_->save_state(w);
-  }
-  w.end_section();
-
-  w.begin_section(kTagCache);
-  icache_.save_state(w);
-  dcache_.save_state(w);
-  w.end_section();
-
-  w.begin_section(kTagBus);
-  sri_.save_state(w);
-  w.end_section();
-
-  w.begin_section(kTagPeriph);
-  irq_router_.save_state(w);
-  bridge_.save_state(w);
-  stm_.save_state(w);
-  watchdog_.save_state(w);
-  crank_.save_state(w);
-  adc_.save_state(w);
-  can_.save_state(w);
-  dma_.save_state(w);
-  w.end_section();
-
-  w.begin_section(kTagSafety);
-  monitor_.save_state(w);
-  w.end_section();
-
-  w.begin_section(kTagFault);
-  w.put_bool(injector_ != nullptr);
-  if (injector_ != nullptr) injector_->save_state(w);
-  w.end_section();
-
-  Snapshot snap;
-  snap.shape_fingerprint = config_.shape_fingerprint();
-  snap.cycle = cycle_;
-  snap.payload = w.take();
-  return snap;
-}
-
-Status Soc::restore_snapshot(const Snapshot& snap) {
-  if (snap.shape_fingerprint != config_.shape_fingerprint()) {
-    return error(StatusCode::kFailedPrecondition,
-                 "snapshot was captured on a different architecture shape");
-  }
-  snapshot::Reader r(snap.payload);
-  // Memory contents are about to be replaced wholesale; every predecoded
-  // superblock may describe code that no longer exists.
-  superblocks_.invalidate_all();
-  r.enter_section(kTagTop);
-  cycle_ = r.get_u64();
-  idle_deadlock_ = r.get_bool();
-  ff_stats_.skipped_cycles = r.get_u64();
-  ff_stats_.wakeups = r.get_u64();
-  for (u64& v : ff_stats_.wake_counts) v = r.get_u64();
-  for (u64& v : tc_stall_totals_.cycles) v = r.get_u64();
-  for (u64& v : pcp_stall_totals_.cycles) v = r.get_u64();
-  r.leave_section();
-
-  r.enter_section(kTagCores);
-  tc_->restore_state(r);
-  const bool had_pcp = r.get_bool();
-  if (r.ok() && had_pcp != (pcp_ != nullptr)) {
-    r.fail("snapshot PCP presence mismatch");
-  }
-  if (had_pcp && pcp_ != nullptr) pcp_->restore_state(r);
-  r.leave_section();
-
-  r.enter_section(kTagMem);
-  pflash_.restore_state(r);
-  dflash_.restore_state(r);
-  lmu_.restore_state(r);
-  dspr_.restore_state(r);
-  pspr_.restore_state(r);
-  const bool had_pram = r.get_bool();
-  if (r.ok() && had_pram != (pcp_pram_ != nullptr)) {
-    r.fail("snapshot PCP-RAM presence mismatch");
-  }
-  if (had_pram && pcp_pram_ != nullptr) {
-    pcp_pram_->restore_state(r);
-    pcp_dram_->restore_state(r);
-  }
-  r.leave_section();
-
-  r.enter_section(kTagCache);
-  icache_.restore_state(r);
-  dcache_.restore_state(r);
-  r.leave_section();
-
-  r.enter_section(kTagBus);
-  sri_.restore_state(r);
-  r.leave_section();
-
-  r.enter_section(kTagPeriph);
-  irq_router_.restore_state(r);
-  bridge_.restore_state(r);
-  stm_.restore_state(r);
-  watchdog_.restore_state(r);
-  crank_.restore_state(r);
-  adc_.restore_state(r);
-  can_.restore_state(r);
-  dma_.restore_state(r);
-  r.leave_section();
-
-  r.enter_section(kTagSafety);
-  monitor_.restore_state(r);
-  r.leave_section();
-
-  r.enter_section(kTagFault);
-  const bool had_injector = r.get_bool();
-  if (had_injector) {
-    if (injector_ != nullptr) {
-      injector_->restore_state(r);
-    } else if (r.ok()) {
-      r.fail("snapshot carries fault-injector state but none is attached");
-    }
-  }
-  // No injector in the image + one attached now = warm fork: the freshly
-  // constructed injector (cursor 0, no storms) is exactly the state an
-  // uninterrupted run would have, since no event fired before capture.
-  r.leave_section();
-
-  if (r.ok() && !r.at_end()) r.fail("trailing bytes after last section");
-  // Re-publish a frame consistent with the restored quiescent machine.
-  if (r.ok()) frame_ = make_idle_frame();
-  return r.status();
 }
 
 }  // namespace audo::soc

@@ -24,7 +24,6 @@
 #include "periph/irq_router.hpp"
 #include "periph/peripherals.hpp"
 #include "periph/sfr_bridge.hpp"
-#include "soc/snapshot.hpp"
 #include "soc/soc_config.hpp"
 
 namespace audo::telemetry {
@@ -223,7 +222,7 @@ class Soc {
   /// or uncached window drops the (single) cached-alias region. This is
   /// the one funnel every code-modification path flows through: program
   /// load, runtime PSPR writes (core stores, DMA — via the scratchpad
-  /// write listener), snapshot restore and fault-injector attach.
+  /// write listener) and fault-injector attach.
   void invalidate_code(Addr addr, u32 bytes);
 
   const isa::SuperblockCache& superblocks() const { return superblocks_; }
@@ -269,26 +268,6 @@ class Soc {
   /// descending. Shared by every RunReport producer (audo-profile,
   /// audo-faultcamp, benches) so the block always means the same thing.
   void fill_exec_tier_report(telemetry::RunReport& report) const;
-
-  // ---- snapshot / restore --------------------------------------------
-
-  /// Capture the complete machine state into a versioned, checksummed
-  /// image. Requires quiescent(): at a quiescent point every transient
-  /// (in-flight bus transactions, pipeline fills, DMA units) is drained,
-  /// so the remaining state is plain data. The image records the
-  /// configuration's shape_fingerprint(); restoring it onto a machine
-  /// with a different shape is rejected.
-  Result<Snapshot> save_snapshot() const;
-
-  /// Restore a previously captured image into this machine. Call on a
-  /// freshly constructed Soc with the same architecture shape, after
-  /// load()ing the same program (memory contents come from the image).
-  /// The resulting
-  /// machine continues bit-identically to the one that was saved. On a
-  /// non-ok return the machine state is indeterminate and the Soc must
-  /// be discarded — corrupt or wrong-version images never get this far
-  /// (Snapshot::deserialize validates before any state is touched).
-  Status restore_snapshot(const Snapshot& snap);
 
   Cycle cycle() const { return cycle_; }
   const mcds::ObservationFrame& frame() const { return frame_; }

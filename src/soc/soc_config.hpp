@@ -86,11 +86,7 @@ struct SocConfig {
   u64 fingerprint() const { return safety.fingerprint(shape_fingerprint()); }
 
   /// Hash over the *structural* knobs only — everything fingerprint()
-  /// covers except the safety model. Snapshots are keyed by this: a
-  /// fault-free boot leaves no trace of the safety configuration (no
-  /// alarm, no ECC event, cycle-identical with the monitor on or off),
-  /// so scenarios that differ only in safety settings can fork from one
-  /// warm boot image.
+  /// covers except the safety model, which fingerprint() folds in.
   u64 shape_fingerprint() const {
     u64 h = fnv1a(kFnvOffset, name);
     h = fnv1a(h, clock_hz);

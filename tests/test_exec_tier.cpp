@@ -1235,84 +1235,5 @@ TEST(ExecTier, RefillEvictingTheNextLoadsLineBitIdentical) {
       << fast.exec.fast_cycles << " of " << fast.cycles;
 }
 
-// ---- snapshot / restore invalidation --------------------------------
-
-// Two same-shape programs at the same PSPR address whose loop bodies
-// differ in exactly one instruction (version B runs the d5 accumulator
-// twice per iteration).
-constexpr std::string_view kLoopA = R"(
-    .text 0xC8000000
-main:
-    movd d0, 0
-    movd d1, 1
-    movd d2, 100
-    movd d5, 0
-loop:
-    add  d0, d0, d1
-    add  d5, d5, d1
-    nop
-    jne  d0, d2, loop
-    halt
-)";
-
-constexpr std::string_view kLoopB = R"(
-    .text 0xC8000000
-main:
-    movd d0, 0
-    movd d1, 1
-    movd d2, 100
-    movd d5, 0
-loop:
-    add  d0, d0, d1
-    add  d5, d5, d1
-    add  d5, d5, d1
-    jne  d0, d2, loop
-    halt
-)";
-
-TEST(ExecTier, RestoreSnapshotDropsStaleSuperblocks) {
-  // restore_state rewrites code memory *without* going through the
-  // store-path write listener, so the restore itself must drop every
-  // predecoded chunk. If it didn't, the fast tier would keep executing
-  // program B's decodes after the machine was restored to program A.
-  auto a = isa::assemble(kLoopA);
-  auto b = isa::assemble(kLoopB);
-  ASSERT_TRUE(a.is_ok()) << a.status().to_string();
-  ASSERT_TRUE(b.is_ok()) << b.status().to_string();
-
-  soc::SocConfig config = test::small_config();
-  config.exec_tier = ExecTier::kSuperblock;
-  soc::Soc soc(config);
-
-  // Run program A to halt and snapshot the halted (quiescent) machine.
-  ASSERT_TRUE(soc.load(a.value()).is_ok());
-  soc.reset(a.value().entry());
-  soc.run(1'000'000);
-  ASSERT_TRUE(soc.tc().halted());
-  EXPECT_EQ(soc.tc().d(5), 100u);
-  const u64 cycles_a = soc.cycle();
-  auto snap = soc.save_snapshot();
-  ASSERT_TRUE(snap.is_ok()) << snap.status().to_string();
-
-  // Run program B at the same address: its superblocks now populate the
-  // cache for the very PCs program A uses.
-  ASSERT_TRUE(soc.load(b.value()).is_ok());
-  soc.reset(b.value().entry());
-  soc.run(1'000'000);
-  ASSERT_TRUE(soc.tc().halted());
-  EXPECT_EQ(soc.tc().d(5), 200u);
-  EXPECT_GT(soc.superblocks().stats().builds, 0u);
-
-  // Restore to the post-A image and rerun from entry: the machine must
-  // execute A's code (d5 == 100), not B's stale decodes (d5 == 200).
-  ASSERT_TRUE(soc.restore_snapshot(snap.value()).is_ok());
-  soc.reset(a.value().entry());
-  soc.run(1'000'000);
-  ASSERT_TRUE(soc.tc().halted());
-  EXPECT_EQ(soc.tc().d(0), 100u);
-  EXPECT_EQ(soc.tc().d(5), 100u);
-  EXPECT_EQ(soc.cycle(), cycles_a);
-}
-
 }  // namespace
 }  // namespace audo

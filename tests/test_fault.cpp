@@ -530,8 +530,8 @@ optimize::ScenarioResult whole_run_reference(
 // settled and folds the DSPR's zero runs at once; neither may change an
 // answer. On the WFI engine, whose scenarios park, fast-forward and land
 // in idle and ISR nodes, every scenario's task, signature and cycles must
-// equal the whole-run reference, with the warm fork on and off, at jobs 1
-// and 2, and through the timeout path's chunked run.
+// equal the whole-run reference, at jobs 1 and 2, and through the timeout
+// path's chunked run.
 TEST(FaultCampaign, AttributionAndSignatureEqualAWholeRunReference) {
   workload::EngineOptions opt;
   opt.idle_background = true;
@@ -571,20 +571,12 @@ TEST(FaultCampaign, AttributionAndSignatureEqualAWholeRunReference) {
   EXPECT_TRUE(tasks.count("idle") != 0);
 
   struct Mode {
-    bool warm;
     unsigned jobs;
     u64 timeout_ms;
   };
-  for (const Mode m : {Mode{false, 1, 0}, Mode{false, 2, 0}, Mode{true, 1, 0},
-                       Mode{true, 2, 0}, Mode{true, 2, 600'000}}) {
-    SCOPED_TRACE("warm " + std::to_string(m.warm) + ", jobs " +
-                 std::to_string(m.jobs) + ", timeout " +
+  for (const Mode m : {Mode{1, 0}, Mode{2, 0}, Mode{2, 600'000}}) {
+    SCOPED_TRACE("jobs " + std::to_string(m.jobs) + ", timeout " +
                  std::to_string(m.timeout_ms));
-    if (m.warm) {
-      EXPECT_NE(campaign.prepare_warm_fork(scenarios), 0u);
-    } else {
-      campaign.clear_warm_fork();
-    }
     campaign.set_jobs(m.jobs);
     campaign.set_timeout_ms(m.timeout_ms);
     const optimize::CampaignSummary summary = campaign.run(scenarios);

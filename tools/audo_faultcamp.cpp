@@ -4,13 +4,11 @@
 // masked / corrected / detected / sdc / hang (/ failed for scenarios the
 // host could not complete).
 //
-// The campaign boots the workload once, snapshots the machine at the
-// last quiescent cycle before the earliest fault event, and forks every
-// scenario from that warm image (bit-identical to cold boots). Every
-// completed scenario is journaled to an append-only manifest, so a
-// campaign killed at any point — including kill -9 — can be resumed with
-// --resume and reproduces the exact merged report and classification
-// hash while skipping the scenarios already done.
+// Every run boots cold from reset. Every completed scenario is journaled
+// to an append-only manifest, so a campaign killed at any point —
+// including kill -9 — can be resumed with --resume and reproduces the
+// exact merged report and classification hash while skipping the
+// scenarios already done.
 //
 //   audo-faultcamp [options]
 //     --scenarios N             random scenarios to generate (default 16)
@@ -27,10 +25,7 @@
 //     --idle-revs N             use the event-driven engine shape (WFI
 //                               background park, halt after N crank
 //                               revolutions) instead of the busy
-//                               background loop. This is the shape where
-//                               the warm fork actually engages: the busy
-//                               loop never goes quiescent before the
-//                               fault window, so it always boots cold.
+//                               background loop
 //     --demo                    run the five hand-aimed outcome-class
 //                               scenarios instead of (or on top of) the
 //                               random set
@@ -42,13 +37,10 @@
 //                               or 'accurate'. Bit-identical either way;
 //                               superblock windows stay open under the
 //                               injector, bounded by its event cycles
-//     --cold-boot               disable the warm fork (every run boots
-//                               from reset; bit-identical, slower)
 //     --manifest FILE           journal completed scenarios to FILE (JSONL)
 //     --resume FILE             resume a campaign from FILE: completed
 //                               scenarios are replayed from the journal,
 //                               the rest run and are appended to it
-//     --snapshot FILE           write the warm boot image to FILE
 //     --report FILE             write a structured RunReport JSON
 //     --record FILE             record a replay golden (trisim-replay/1):
 //                               campaign identity, classification hash and
@@ -74,7 +66,6 @@
 #include "mem/memory_map.hpp"
 #include "optimize/fault_campaign.hpp"
 #include "replay/replay.hpp"
-#include "soc/snapshot.hpp"
 #include "soc/soc.hpp"
 #include "telemetry/host_profiler.hpp"
 #include "telemetry/metrics.hpp"
@@ -96,8 +87,8 @@ void usage() {
       "       [--scenario-budget N] [--scenario-timeout-ms MS] [--retries N]\n"
       "       [--bg N] [--idle-revs N] [--demo] [--no-ecc-sram]\n"
       "       [--no-fast-forward] [--exec-tier accurate|superblock]\n"
-      "       [--cold-boot] [--manifest FILE] [--resume FILE]\n"
-      "       [--snapshot FILE] [--report FILE] [--record FILE]\n");
+      "       [--manifest FILE] [--resume FILE] [--report FILE]\n"
+      "       [--record FILE]\n");
 }
 
 }  // namespace
@@ -115,10 +106,8 @@ int main(int argc, char** argv) {
   bool ecc_sram = true;
   bool fast_forward = true;
   soc::SocConfig::ExecTier exec_tier = soc::SocConfig{}.exec_tier;
-  bool cold_boot = false;
   const char* manifest_path = nullptr;
   const char* resume_path = nullptr;
-  const char* snapshot_path = nullptr;
   const char* report_path = nullptr;
   const char* record_path = nullptr;
 
@@ -165,14 +154,10 @@ int main(int argc, char** argv) {
         usage();
         return 2;
       }
-    } else if (std::strcmp(arg, "--cold-boot") == 0) {
-      cold_boot = true;
     } else if (std::strcmp(arg, "--manifest") == 0) {
       manifest_path = next_value();
     } else if (std::strcmp(arg, "--resume") == 0) {
       resume_path = next_value();
-    } else if (std::strcmp(arg, "--snapshot") == 0) {
-      snapshot_path = next_value();
     } else if (std::strcmp(arg, "--report") == 0) {
       report_path = next_value();
     } else if (std::strcmp(arg, "--record") == 0) {
@@ -255,29 +240,6 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  u64 boot_hash = 0;
-  if (!cold_boot) {
-    boot_hash = campaign.prepare_warm_fork(plan);
-    if (boot_hash != 0) {
-      std::printf("warm fork: boot image at cycle %llu (0x%llx)\n",
-                  static_cast<unsigned long long>(campaign.warm_fork_cycle()),
-                  static_cast<unsigned long long>(boot_hash));
-    }
-  }
-  if (snapshot_path != nullptr) {
-    if (!campaign.has_warm_fork()) {
-      std::fprintf(stderr, "--snapshot: no warm boot image to write\n");
-      return 1;
-    }
-    if (Status s = campaign.warm_fork_image().to_file(snapshot_path);
-        !s.is_ok()) {
-      std::fprintf(stderr, "cannot write %s: %s\n", snapshot_path,
-                   s.to_string().c_str());
-      return 1;
-    }
-    std::printf("boot image: %s\n", snapshot_path);
-  }
-
   // Manifest journaling / resume. The header pins the campaign identity;
   // resuming under different parameters is refused.
   host::CampaignManifest manifest;
@@ -285,7 +247,6 @@ int main(int argc, char** argv) {
   header.workload = campaign.workload().name;
   header.campaign_seed = seed;
   header.config_fingerprint = chip.fingerprint();
-  header.snapshot_hash = boot_hash;
   header.scenario_count = plan.size();
   host::ManifestContents resumed;
   if (resume_path != nullptr) {
@@ -385,7 +346,6 @@ int main(int argc, char** argv) {
     summary.fill_report(report);
     report.add_extra("classification_hash",
                      static_cast<double>(summary.classification_hash()));
-    report.add_extra("warm_fork", campaign.has_warm_fork() ? 1.0 : 0.0);
     report.add_extra("aborted", aborted ? 1.0 : 0.0);
     report.add_extra("scenarios_completed",
                      static_cast<double>(summary.runs.size()));

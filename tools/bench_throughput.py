@@ -89,12 +89,6 @@ def main():
     ff_speedup = ff_off_s / ff_on_s if ff_on_s > 0 else 0.0
     ff_identical = values["ff_identical"] == 1
 
-    # Warm-forked fault campaign (optional: absent from older binaries).
-    wf_cold_s = values.get("warm_fork_cold_seconds", 0.0)
-    wf_warm_s = values.get("warm_fork_warm_seconds", 0.0)
-    wf_speedup = wf_cold_s / wf_warm_s if wf_warm_s > 0 else 0.0
-    wf_identical = values.get("warm_fork_identical", 1) == 1
-
     # Campaign jobs scaling (optional: absent from older binaries).
     camp_runs = int(values.get("campaign_scenarios", 0))
     camp_seconds = {j: values.get("campaign_jobs%d_seconds" % j, 0.0)
@@ -121,7 +115,6 @@ def main():
                          "for a %d-job sweep)" % (hardware_jobs, sweep_jobs),
         "ff_identical": "pass" if ff_identical else "fail",
         "ff_speedup": "pass" if ff_speedup_ok else "fail",
-        "warm_fork_identical": "pass" if wf_identical else "fail",
         "campaign_jobs_identical": "pass" if camp_identical else "fail",
         "dense_identical": "pass" if dense_identical else "fail",
         # The dense speedup is a single-process ratio on one host, so
@@ -159,14 +152,6 @@ def main():
             "wakeups": int(values.get("ff_wakeups", 0)),
             "identical_to_stepped": ff_identical,
             "min_speedup_required": args.min_ff_speedup,
-        },
-        "warm_fork": {
-            "runs": int(values.get("warm_fork_runs", 0)),
-            "fork_cycle": int(values.get("warm_fork_cycle", 0)),
-            "cold_seconds": wf_cold_s,
-            "warm_seconds": wf_warm_s,
-            "speedup": wf_speedup,
-            "identical_to_cold": wf_identical,
         },
         "campaign_scaling": {
             "runs": camp_runs,
@@ -209,10 +194,6 @@ def main():
     if not ff_speedup_ok:
         print("FAIL: fast-forward speedup %.2fx < required %.2fx"
               % (ff_speedup, args.min_ff_speedup), file=sys.stderr)
-        return 1
-    if not wf_identical:
-        print("FAIL: warm-forked campaign diverged from cold boots",
-              file=sys.stderr)
         return 1
     if not camp_identical:
         print("FAIL: campaign classification changed with the job count",

@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
 """Crash-recovery smoke test for the resumable fault-campaign service.
 
-Three phases, all against the same campaign (idle-background engine, so
-the warm-fork path is exercised too):
+Three phases, all against the same campaign (idle-background engine,
+every scenario booted cold):
 
 1. reference  — run the campaign uninterrupted and record its
                 classification hash;
