@@ -190,6 +190,7 @@ Result<ManifestContents> CampaignManifest::load(const std::string& path) {
     r.budget_cycles = get_u64(obj, "budget_cycles");
     r.timeout_ms = get_u64(obj, "timeout_ms");
     r.attempts = static_cast<u32>(get_u64(obj, "attempts"));
+    r.line = line_no;
     out.records.push_back(std::move(r));
   }
   if (!have_header) {

@@ -51,6 +51,8 @@ struct ScenarioRecord {
   u64 budget_cycles = 0;
   u64 timeout_ms = 0;
   u32 attempts = 1;
+  /// Manifest line the record was loaded from (0 when not loaded).
+  usize line = 0;
 };
 
 /// Everything recoverable from a manifest file.

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <map>
 #include <sstream>
 #include <thread>
 
@@ -58,11 +57,15 @@ host::ScenarioRecord to_manifest_record(const ScenarioResult& r) {
   return rec;
 }
 
-ScenarioResult from_manifest_record(const host::ScenarioRecord& rec) {
+Result<ScenarioResult> from_manifest_record(const host::ScenarioRecord& rec) {
   ScenarioResult r;
   r.name = rec.name;
   r.seed = rec.seed;
-  (void)outcome_from_string(rec.outcome, &r.outcome);
+  if (!outcome_from_string(rec.outcome, &r.outcome)) {
+    return error(StatusCode::kInvalidArgument,
+                 "line " + std::to_string(rec.line) + ": unknown outcome \"" +
+                     rec.outcome + "\"");
+  }
   r.failed = r.outcome == FaultOutcome::kFailed;
   r.cycles = rec.cycles;
   r.halted = rec.halted;
@@ -249,6 +252,21 @@ std::vector<FaultScenario> FaultCampaign::make_demo_scenarios(
   return scenarios;
 }
 
+Status FaultCampaign::set_resume_records(
+    const std::vector<host::ScenarioRecord>* records) {
+  resumed_.clear();
+  if (records == nullptr) return Status::ok();
+  for (const host::ScenarioRecord& rec : *records) {
+    Result<ScenarioResult> r = from_manifest_record(rec);
+    if (!r.is_ok()) {
+      resumed_.clear();
+      return r.status();
+    }
+    resumed_[{rec.name, rec.seed}] = std::move(r).value();
+  }
+  return Status::ok();
+}
+
 u64 FaultCampaign::budget_cycles() const {
   const u64 budget = workload_.max_cycles == 0 ? soc::Soc::kDefaultRunBudget
                                                : workload_.max_cycles;
@@ -373,21 +391,14 @@ CampaignSummary FaultCampaign::run(
   summary.golden = run_one_with_retries(nullptr, config_.safety);
   summary.golden.name = "golden";
 
-  // Resume index: journaled results from a previous (interrupted)
-  // campaign, replayed instead of re-simulated.
-  std::map<std::pair<std::string, u64>, const host::ScenarioRecord*> done;
-  if (resume_ != nullptr) {
-    for (const host::ScenarioRecord& rec : *resume_) {
-      done[{rec.name, rec.seed}] = &rec;
-    }
-  }
-
   host::SimPool pool(jobs_);
   std::vector<ScenarioResult> runs = pool.map<ScenarioResult>(
       scenarios.size(), [&](usize i) {
         const FaultScenario& sc = scenarios[i];
-        if (auto it = done.find({sc.name, sc.seed}); it != done.end()) {
-          return from_manifest_record(*it->second);
+        // Journaled by a previous (interrupted) campaign: replayed, not
+        // re-simulated.
+        if (auto it = resumed_.find({sc.name, sc.seed}); it != resumed_.end()) {
+          return it->second;
         }
         if (abort_ != nullptr && abort_->load()) {
           ScenarioResult r;

@@ -20,7 +20,9 @@
 
 #include <array>
 #include <atomic>
+#include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "fault/fault_injector.hpp"
@@ -88,8 +90,10 @@ struct ScenarioResult {
 };
 
 /// Manifest adapters: a ScenarioResult as journal plain data and back.
+/// A record whose outcome is not an outcome name does not convert; the
+/// error names the record's manifest line.
 host::ScenarioRecord to_manifest_record(const ScenarioResult& r);
-ScenarioResult from_manifest_record(const host::ScenarioRecord& rec);
+Result<ScenarioResult> from_manifest_record(const host::ScenarioRecord& rec);
 
 struct CampaignSummary {
   ScenarioResult golden;  // fault-free reference (outcome forced kMasked)
@@ -167,10 +171,9 @@ class FaultCampaign {
 
   /// Scenarios already completed by a previous (crashed) campaign:
   /// run() matches them by (name, seed) and replays the journaled
-  /// result instead of re-simulating. Must outlive run().
-  void set_resume_records(const std::vector<host::ScenarioRecord>* records) {
-    resume_ = records;
-  }
+  /// result instead of re-simulating. Null clears them. Fails, keeping
+  /// none, on the first record that does not convert.
+  Status set_resume_records(const std::vector<host::ScenarioRecord>* records);
 
   /// Run the golden reference plus every scenario (parallel across
   /// jobs()) and classify. Scenarios found in the resume records are
@@ -203,7 +206,8 @@ class FaultCampaign {
   unsigned retries_ = 2;
   const std::atomic<bool>* abort_ = nullptr;
   host::CampaignManifest* manifest_ = nullptr;
-  const std::vector<host::ScenarioRecord>* resume_ = nullptr;
+  /// Journaled results to replay, by (name, seed).
+  std::map<std::pair<std::string, u64>, ScenarioResult> resumed_;
 };
 
 }  // namespace audo::optimize

@@ -1,12 +1,16 @@
 // Campaign resume and robustness tests: manifest journaling and crash
-// resume, and the per-scenario robustness policy (budget / timeout /
-// retry) plumbing.
+// resume, seeded mutation of a journaled manifest, manifests written
+// while campaigns still carried a boot-image hash, and the per-scenario
+// robustness policy (budget / timeout / retry) plumbing.
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <fstream>
+#include <sstream>
 #include <string>
 #include <vector>
 
+#include "common/prng.hpp"
 #include "helpers.hpp"
 #include "host/campaign_manifest.hpp"
 #include "optimize/fault_campaign.hpp"
@@ -41,6 +45,18 @@ optimize::WorkloadCase engine_case(const workload::EngineWorkload& w,
   };
   wc.max_cycles = max_cycles;
   return wc;
+}
+
+std::string read_file(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::stringstream buffer;
+  buffer << in.rdbuf();
+  return buffer.str();
+}
+
+void write_file(const std::string& path, const std::string& text) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out << text;
 }
 
 // ---- manifest journal + resume ---------------------------------------
@@ -165,9 +181,9 @@ TEST(CampaignManifest, ResumeReproducesClassificationHash) {
   // Pretend the campaign died after two scenarios and resume from them.
   std::vector<host::ScenarioRecord> survived(
       contents.value().records.begin(), contents.value().records.begin() + 2);
-  campaign.set_resume_records(&survived);
+  ASSERT_TRUE(campaign.set_resume_records(&survived).is_ok());
   const optimize::CampaignSummary resumed = campaign.run(scenarios);
-  campaign.set_resume_records(nullptr);
+  ASSERT_TRUE(campaign.set_resume_records(nullptr).is_ok());
 
   EXPECT_EQ(resumed.classification_hash(), want);
   unsigned replayed = 0;
@@ -177,6 +193,157 @@ TEST(CampaignManifest, ResumeReproducesClassificationHash) {
   }
   EXPECT_EQ(replayed, 2u);
   std::remove(path.c_str());
+}
+
+// A journaled outcome that is not an outcome name (a corrupt or hand-edited
+// record) fails the resume and names its manifest line; it is never
+// replayed as some other outcome.
+TEST(CampaignManifest, UnknownOutcomeFailsTheResumeAndNamesItsLine) {
+  const workload::EngineWorkload w = idle_engine(2);
+  optimize::FaultCampaign campaign(soc::SocConfig{}, engine_case(w));
+  const std::string path = ::testing::TempDir() + "audo_manifest_outcome.jsonl";
+  for (const std::string bad : {"sdx", "", "s]c", "Masked"}) {
+    SCOPED_TRACE("outcome \"" + bad + "\"");
+    {
+      host::CampaignManifest m;
+      ASSERT_TRUE(m.create(path, big_header()).is_ok());
+      ASSERT_TRUE(m.append(record("rand-0", 1)).is_ok());
+      host::ScenarioRecord corrupt = record("rand-1", 2);
+      corrupt.outcome = bad;
+      ASSERT_TRUE(m.append(corrupt).is_ok());
+    }
+    auto loaded = host::CampaignManifest::load(path);
+    ASSERT_TRUE(loaded.is_ok()) << loaded.status().to_string();
+    const std::vector<host::ScenarioRecord>& records = loaded.value().records;
+    ASSERT_EQ(records.size(), 2u);
+    EXPECT_EQ(records[0].line, 2u);
+    EXPECT_EQ(records[1].line, 3u);
+
+    EXPECT_TRUE(optimize::from_manifest_record(records[0]).is_ok());
+    const auto converted = optimize::from_manifest_record(records[1]);
+    ASSERT_FALSE(converted.is_ok());
+    EXPECT_EQ(converted.status().message(),
+              "line 3: unknown outcome \"" + bad + "\"");
+
+    const Status resumed = campaign.set_resume_records(&records);
+    EXPECT_FALSE(resumed.is_ok());
+    EXPECT_EQ(resumed.message(), converted.status().message());
+  }
+  std::remove(path.c_str());
+}
+
+// Seeded byte-level mutants of a journaled manifest: bit flips, byte
+// overwrites and truncations, a third of the edits aimed inside outcome
+// values. Each mutant loads or fails with a status; every record that
+// loads either converts to exactly the outcome its text names or fails
+// with an error that names its line, and the resume accepts the records
+// exactly when all of them convert.
+TEST(CampaignManifest, SeededMutantsLoadOrFailButNeverReclassify) {
+  const std::string journaled =
+      read_file(std::string(AUDO_TESTDATA_DIR) + "/warm_fork_manifest.jsonl");
+  ASSERT_FALSE(journaled.empty());
+  std::vector<usize> outcome_bytes;  // offsets inside outcome values
+  const std::string key = "\"outcome\":\"";
+  for (usize at = journaled.find(key); at != std::string::npos;
+       at = journaled.find(key, at + 1)) {
+    for (usize b = at + key.size(); journaled[b] != '"'; ++b) {
+      outcome_bytes.push_back(b);
+    }
+  }
+  ASSERT_GE(outcome_bytes.size(), 30u);
+
+  const workload::EngineWorkload w = idle_engine(2);
+  optimize::FaultCampaign campaign(soc::SocConfig{}, engine_case(w));
+  const std::string path = ::testing::TempDir() + "audo_manifest_mutant.jsonl";
+  constexpr unsigned kMutants = 450;
+  Prng rng(0x3A21'F0CA);
+  unsigned loaded_count = 0;
+  unsigned unknown_outcomes = 0;
+  for (unsigned m = 0; m < kMutants; ++m) {
+    SCOPED_TRACE("mutant " + std::to_string(m));
+    std::string mutant = journaled;
+    const u64 edits = 1 + rng.next_below(3);
+    for (u64 e = 0; e < edits; ++e) {
+      const usize at = rng.next_below(3) == 0
+                           ? outcome_bytes[rng.next_below(outcome_bytes.size())]
+                           : rng.next_below(mutant.size());
+      if (rng.next_below(2) == 0) {
+        mutant[at] = static_cast<char>(mutant[at] ^ (1u << rng.next_below(8)));
+      } else {
+        mutant[at] = static_cast<char>(rng.next_below(256));
+      }
+    }
+    if (rng.next_below(3) == 0) mutant.resize(rng.next_below(mutant.size()));
+    write_file(path, mutant);
+
+    auto loaded = host::CampaignManifest::load(path);
+    if (!loaded.is_ok()) {
+      EXPECT_FALSE(loaded.status().message().empty());
+      continue;
+    }
+    ++loaded_count;
+    const std::vector<host::ScenarioRecord>& records = loaded.value().records;
+    bool all_convert = true;
+    for (const host::ScenarioRecord& rec : records) {
+      const auto converted = optimize::from_manifest_record(rec);
+      if (converted.is_ok()) {
+        EXPECT_EQ(optimize::to_string(converted.value().outcome), rec.outcome)
+            << "line " << rec.line << " was reclassified";
+      } else {
+        all_convert = false;
+        ++unknown_outcomes;
+        EXPECT_EQ(converted.status().message(),
+                  "line " + std::to_string(rec.line) + ": unknown outcome \"" +
+                      rec.outcome + "\"");
+      }
+    }
+    EXPECT_EQ(campaign.set_resume_records(&records).is_ok(), all_convert);
+    if (::testing::Test::HasFailure()) break;
+  }
+  // Both outcomes occur, and the aimed edits reach the outcome check.
+  EXPECT_GT(loaded_count, 0u);
+  EXPECT_LT(loaded_count, kMutants);
+  EXPECT_GT(unknown_outcomes, 0u);
+  std::remove(path.c_str());
+}
+
+// A manifest journaled by audo-faultcamp while campaigns still forked
+// scenarios from a warm boot image: its header carries `snapshot_hash`,
+// which loading ignores. `--idle-revs 2 --scenarios 6 --seed 3 --jobs 1
+// --manifest` wrote it and printed classification 0x9d04599d5a348601;
+// resuming from all of it, from its first three records, or from none
+// gives that hash.
+TEST(CampaignManifest, WarmForkManifestResumesToTheSameHash) {
+  auto loaded = host::CampaignManifest::load(std::string(AUDO_TESTDATA_DIR) +
+                                             "/warm_fork_manifest.jsonl");
+  ASSERT_TRUE(loaded.is_ok()) << loaded.status().to_string();
+  const host::ManifestContents& journal = loaded.value();
+  ASSERT_EQ(journal.records.size(), 6u);
+
+  const workload::EngineWorkload w = idle_engine(2);
+  optimize::FaultCampaign campaign(soc::SocConfig{}, engine_case(w));
+  campaign.set_jobs(1);
+  const auto scenarios = campaign.make_scenarios(/*seed=*/3, /*count=*/6);
+  EXPECT_EQ(journal.header.workload, campaign.workload().name);
+  EXPECT_EQ(journal.header.campaign_seed, 3u);
+  EXPECT_EQ(journal.header.config_fingerprint, campaign.config().fingerprint());
+  EXPECT_EQ(journal.header.scenario_count, scenarios.size());
+
+  constexpr u64 kWant = 0x9d04599d5a348601ull;
+  for (const usize keep : {usize{6}, usize{3}, usize{0}}) {
+    SCOPED_TRACE("records kept: " + std::to_string(keep));
+    const std::vector<host::ScenarioRecord> records(
+        journal.records.begin(),
+        journal.records.begin() + static_cast<std::ptrdiff_t>(keep));
+    ASSERT_TRUE(campaign.set_resume_records(&records).is_ok());
+    const optimize::CampaignSummary summary = campaign.run(scenarios);
+    EXPECT_EQ(summary.classification_hash(), kWant);
+    unsigned replayed = 0;
+    for (const optimize::ScenarioResult& r : summary.runs) {
+      if (r.from_manifest) ++replayed;
+    }
+    EXPECT_EQ(replayed, keep);
+  }
 }
 
 // ---- robustness policy -----------------------------------------------

@@ -8,7 +8,8 @@
 // to an append-only manifest, so a campaign killed at any point —
 // including kill -9 — can be resumed with --resume and reproduces the
 // exact merged report and classification hash while skipping the
-// scenarios already done.
+// scenarios already done. A journaled record whose outcome is not an
+// outcome name fails the resume (exit 1) and names its manifest line.
 //
 //   audo-faultcamp [options]
 //     --scenarios N             random scenarios to generate (default 16)
@@ -266,11 +267,16 @@ int main(int argc, char** argv) {
                    "(workload/seed/config/scenario-count mismatch)\n");
       return 1;
     }
+    if (Status s = campaign.set_resume_records(&resumed.records);
+        !s.is_ok()) {
+      std::fprintf(stderr, "--resume: %s: %s\n", resume_path,
+                   s.message().c_str());
+      return 1;
+    }
     if (Status s = manifest.open_append(resume_path); !s.is_ok()) {
       std::fprintf(stderr, "%s\n", s.to_string().c_str());
       return 1;
     }
-    campaign.set_resume_records(&resumed.records);
     campaign.set_manifest(&manifest);
     std::printf("resume: %zu of %zu scenarios journaled in %s\n",
                 resumed.records.size(), plan.size(), resume_path);
