@@ -365,7 +365,7 @@ int main(int argc, char** argv) {
   }
   if (record_path != nullptr && !aborted) {
     replay::ReplaySpec spec;
-    spec.name = "faultcamp-engine";
+    spec.name = idle_revs > 0 ? "faultcamp-idle" : "faultcamp-engine";
     spec.scenario.kind = "engine";
     spec.scenario.run_cycles = budget;
     spec.scenario.engine = opt;
