@@ -7,6 +7,9 @@
 // golden, early and late in the run.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <filesystem>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -526,6 +529,28 @@ TEST(ReplayCampaign, AttributionDriftNamesTheScenarioAndBothTasks) {
   EXPECT_EQ(sc->find("name")->string, name);
   EXPECT_EQ(sc->find("expected_task")->string, "isr_elsewhere");
   EXPECT_EQ(sc->find("actual_task")->string, recorded);
+}
+
+// audo-replay's verdict line and the divergence JSON name a golden by its
+// `name` alone, so no two committed campaign goldens may share one.
+TEST(ReplayCampaign, CommittedCampaignGoldensHaveDistinctNames) {
+  std::vector<std::filesystem::path> goldens;
+  for (const auto& entry :
+       std::filesystem::directory_iterator(AUDO_REPLAYS_DIR)) {
+    if (entry.path().extension() == ".json") goldens.push_back(entry.path());
+  }
+  std::sort(goldens.begin(), goldens.end());
+  std::map<std::string, std::string> file_of;  // name -> golden file
+  for (const auto& path : goldens) {
+    auto spec = replay::ReplaySpec::from_file(path.string());
+    ASSERT_TRUE(spec.is_ok()) << path << ": " << spec.status().to_string();
+    if (!spec.value().campaign.enabled) continue;
+    const std::string file = path.filename().string();
+    const auto [it, fresh] = file_of.emplace(spec.value().name, file);
+    EXPECT_TRUE(fresh) << file << " and " << it->second << " are both named '"
+                       << spec.value().name << "'";
+  }
+  EXPECT_GE(file_of.size(), 2u);
 }
 
 // ---- divergence report JSON -------------------------------------------
