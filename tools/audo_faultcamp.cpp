@@ -46,7 +46,9 @@
 //     --record FILE             record a replay golden (trisim-replay/1):
 //                               campaign identity, classification hash and
 //                               per-scenario outcome rows, verifiable with
-//                               audo-replay under any --jobs/--exec-tier.
+//                               audo-replay under any --jobs/--exec-tier,
+//                               named faultcamp-idle under --idle-revs and
+//                               faultcamp-engine otherwise.
 //                               Incompatible with --demo and --resume (the
 //                               oracle reconstructs seed-derived plans only)
 //
