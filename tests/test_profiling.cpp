@@ -1,15 +1,20 @@
 // Enhanced System Profiling tests: the §5 measurement specs, parallel
 // rate series, rate correctness against ground truth, cascaded counters,
-// the function-level profiler and the session harness.
+// the function-level profiler, the session harness and the pinned
+// outputs of the full §5 session.
 #include <gtest/gtest.h>
 
+#include "common/bits.hpp"
 #include "helpers.hpp"
+#include "profiling/export.hpp"
 #include "profiling/function_profile.hpp"
 #include "profiling/session.hpp"
 #include "profiling/spec.hpp"
 #include "profiling/timeseries.hpp"
+#include "replay/replay.hpp"
 #include "workload/engine.hpp"
 #include "workload/kernels.hpp"
+#include "workload/transmission.hpp"
 
 namespace audo::profiling {
 namespace {
@@ -254,6 +259,167 @@ TEST(Timeseries, SummaryAndSparklineFormatting) {
   EXPECT_NE(summary.find("test/series"), std::string::npos);
   const std::string line = sparkline(s, 20);
   EXPECT_GE(line.size(), 10u);
+}
+
+// ---- the §5 session's outputs, pinned -----------------------------------
+//
+// The transmission app for 300,000 cycles under the session perfbench's
+// tcu_profile runs: standard rate groups, program-flow and IRQ trace, CPI
+// stacks (with their stall counter group) and the execution DAG. Each
+// output is pinned by the FNV-1a of its CSV or, for the MCDS stream, of
+// its decoded messages, on both execution tiers. The armed variant adds a
+// trigger network: comparators, a comparator-qualified counter group, a
+// trigger FSM and action equations, among them the cascaded IPC pair.
+
+struct SessionDigests {
+  usize messages = 0;
+  u64 messages_hash = 0;
+  u64 series_hash = 0;
+  u64 cpi_hash = 0;
+  u64 dag_hash = 0;
+  u64 watchpoints = 0;
+  u64 trigger_out_pulses = 0;
+  usize detail_samples = 0;  // the cascade's high-resolution group
+};
+
+SessionOptions tcu_session() {
+  SessionOptions o;
+  o.program_trace = true;
+  o.irq_trace = true;
+  o.cpi_stacks = true;
+  o.dag = true;
+  return o;
+}
+
+SessionOptions armed_tcu_session() {
+  SessionOptions o = tcu_session();
+  using mcds::CompareField;
+  using mcds::CoreSel;
+  using mcds::EventId;
+  o.comparators = {
+      // TC handler entries at the STM, pulse and sync priorities.
+      mcds::Comparator{CoreSel::kTc, CompareField::kIrqPrio, 20, 40, -1},
+      // The turbine-pulse handler's entries only.
+      mcds::Comparator{CoreSel::kTc, CompareField::kIrqPrio, 35, 35, -1},
+      // TC data writes to the scratchpad.
+      mcds::Comparator{CoreSel::kTc, CompareField::kDataAddr, 0xC0000000u,
+                       0xC00FFFFFu, 1},
+  };
+  // The groups ahead of the extra ones, and the threshold flags they own.
+  // The app's IPC is close to 0.98, so the cascade's 99% guard arms and
+  // disarms its detail group many times.
+  std::vector<mcds::CounterGroupConfig> ahead = standard_groups(o.resolution);
+  ahead.push_back(stall_root_group(o.resolution));
+  unsigned flags = 0;
+  for (const mcds::CounterGroupConfig& g : ahead) {
+    for (const mcds::RateCounterConfig& c : g.counters) {
+      if (c.threshold.has_value()) ++flags;
+    }
+  }
+  const unsigned base = static_cast<unsigned>(ahead.size());
+  o.extra_groups = cascaded_ipc_groups(/*low=*/2000, /*high=*/200,
+                                       /*threshold %=*/99, base, flags,
+                                       o.actions);
+  mcds::CounterGroupConfig qualified;
+  qualified.name = "qualified";
+  qualified.basis = EventId::kCycles;
+  qualified.resolution = 5000;
+  qualified.counters = {
+      mcds::RateCounterConfig{EventId::kTcIrqEntry, {}, 0u},
+      mcds::RateCounterConfig{EventId::kTcIrqEntry, {}, 1u},
+      mcds::RateCounterConfig{EventId::kTcDataWrite, {}, 2u},
+      mcds::RateCounterConfig{EventId::kTcRetired, {}, {}},
+  };
+  o.extra_groups.push_back(qualified);
+  const unsigned qualified_group = base + 2;
+  // State 1 from a pulse-handler entry until the next handler exit.
+  o.fsm.transitions = {
+      mcds::Transition{0, 1, mcds::Equation::comparator(1)},
+      mcds::Transition{1, 0, mcds::Equation::event(EventId::kTcIrqExit)},
+  };
+  o.actions.push_back(mcds::ActionBinding{
+      mcds::Equation::comparator(0), mcds::TriggerAction::kTriggerOut, 0});
+  mcds::Equation in_pulse_writing;
+  in_pulse_writing.products = {{
+      mcds::Term{mcds::Term::Kind::kState, 1, EventId::kNone, false},
+      mcds::Term{mcds::Term::Kind::kComparator, 2, EventId::kNone, false},
+  }};
+  o.actions.push_back(mcds::ActionBinding{
+      in_pulse_writing, mcds::TriggerAction::kEmitWatchpoint, 7});
+  o.actions.push_back(mcds::ActionBinding{
+      mcds::Equation::event(EventId::kTcIrqExit),
+      mcds::TriggerAction::kSampleGroup, qualified_group});
+  return o;
+}
+
+SessionDigests run_tcu_session(const SessionOptions& options,
+                               soc::SocConfig::ExecTier tier) {
+  auto built = workload::build_transmission_workload({});
+  EXPECT_TRUE(built.is_ok()) << built.status().to_string();
+  const workload::TransmissionWorkload w = std::move(built).value();
+  soc::SocConfig config;
+  config.exec_tier = tier;
+  ProfilingSession session(config, options);
+  EXPECT_TRUE(session.load(w.program).is_ok());
+  workload::configure_transmission(session.device().soc(), w.options);
+  session.reset(w.tc_entry);
+  const SessionResult result = session.run(300'000);
+  EXPECT_EQ(result.cycles, 300'000u);
+
+  SessionDigests d;
+  d.messages = result.messages.size();
+  d.messages_hash = replay::hash_messages(result.messages);
+  d.series_hash = fnv1a(kFnvOffset, series_to_csv(result.series));
+  d.cpi_hash = fnv1a(kFnvOffset, session.cpi_builder()->to_csv());
+  d.dag_hash = fnv1a(kFnvOffset, session.dag()->to_csv());
+  const mcds::Mcds& mcds = session.device().mcds();
+  d.watchpoints = mcds.messages_of(mcds::MsgKind::kWatchpoint);
+  d.trigger_out_pulses = mcds.trigger_out_pulses();
+  if (const RateSeries* detail = result.find_series("ipc_detail/tc.retired")) {
+    d.detail_samples = detail->points.size();
+  }
+  return d;
+}
+
+void expect_digests(const SessionOptions& options, const SessionDigests& want) {
+  for (const auto tier : {soc::SocConfig::ExecTier::kSuperblock,
+                          soc::SocConfig::ExecTier::kAccurate}) {
+    SCOPED_TRACE(tier == soc::SocConfig::ExecTier::kSuperblock ? "superblock"
+                                                               : "accurate");
+    const SessionDigests got = run_tcu_session(options, tier);
+    EXPECT_EQ(got.messages, want.messages);
+    EXPECT_EQ(got.messages_hash, want.messages_hash);
+    EXPECT_EQ(got.series_hash, want.series_hash);
+    EXPECT_EQ(got.cpi_hash, want.cpi_hash);
+    EXPECT_EQ(got.dag_hash, want.dag_hash);
+    EXPECT_EQ(got.watchpoints, want.watchpoints);
+    EXPECT_EQ(got.trigger_out_pulses, want.trigger_out_pulses);
+    EXPECT_EQ(got.detail_samples, want.detail_samples);
+  }
+}
+
+TEST(SessionPin, TcuProfileSessionOutputsOnBothTiers) {
+  SessionDigests want;
+  want.messages = 46402;
+  want.messages_hash = 0x4c4daffab23278e4ull;
+  want.series_hash = 0xca8eb9a7a0b4ee3dull;
+  want.cpi_hash = 0x2b460b81c4e4000dull;
+  want.dag_hash = 0x5abc12ef8380182cull;
+  expect_digests(tcu_session(), want);
+}
+
+TEST(SessionPin, ArmedTriggerNetworkSessionOutputsOnBothTiers) {
+  SessionDigests want;
+  want.messages = 48841;
+  want.messages_hash = 0x94cd9e80fe182c92ull;
+  want.series_hash = 0xc52648ee1cc7065ull;
+  // The trigger network observes only: CPI stacks and DAG are unchanged.
+  want.cpi_hash = 0x2b460b81c4e4000dull;
+  want.dag_hash = 0x5abc12ef8380182cull;
+  want.watchpoints = 646;
+  want.trigger_out_pulses = 342;
+  want.detail_samples = 1160;
+  expect_digests(armed_tcu_session(), want);
 }
 
 }  // namespace
