@@ -36,24 +36,29 @@ SymbolMap::SymbolMap(const Program& program) {
   build(false, data_);
 }
 
-const std::string& SymbolMap::lookup(const std::vector<Range>& ranges,
-                                     Addr addr) {
+const SymbolMap::Range* SymbolMap::lookup(const std::vector<Range>& ranges,
+                                          Addr addr) {
   // Binary search for the last range with begin <= addr.
   auto it = std::upper_bound(
       ranges.begin(), ranges.end(), addr,
       [](Addr a, const Range& r) { return a < r.begin; });
-  if (it == ranges.begin()) return kUnknown;
+  if (it == ranges.begin()) return nullptr;
   --it;
-  if (addr >= it->begin && addr < it->end) return it->name;
-  return kUnknown;
+  return addr >= it->begin && addr < it->end ? &*it : nullptr;
 }
 
-const std::string& SymbolMap::function_at(Addr pc) const {
+const SymbolMap::Range* SymbolMap::function_range(Addr pc) const {
   return lookup(functions_, pc);
 }
 
+const std::string& SymbolMap::function_at(Addr pc) const {
+  const Range* range = function_range(pc);
+  return range != nullptr ? range->name : kUnknown;
+}
+
 const std::string& SymbolMap::data_symbol_at(Addr addr) const {
-  return lookup(data_, addr);
+  const Range* range = lookup(data_, addr);
+  return range != nullptr ? range->name : kUnknown;
 }
 
 }  // namespace audo::isa

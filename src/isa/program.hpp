@@ -72,6 +72,15 @@ class SymbolMap {
   SymbolMap() = default;
   explicit SymbolMap(const Program& program);
 
+  struct Range {
+    Addr begin;
+    Addr end;
+    std::string name;
+  };
+
+  /// The function range containing `pc`, or null if unmapped.
+  const Range* function_range(Addr pc) const;
+
   /// Name of the function containing `pc`, or "?" if unmapped.
   const std::string& function_at(Addr pc) const;
 
@@ -79,15 +88,10 @@ class SymbolMap {
   /// next data symbol or section end), or "?" if unmapped.
   const std::string& data_symbol_at(Addr addr) const;
 
-  struct Range {
-    Addr begin;
-    Addr end;
-    std::string name;
-  };
   const std::vector<Range>& functions() const { return functions_; }
 
  private:
-  static const std::string& lookup(const std::vector<Range>& ranges, Addr addr);
+  static const Range* lookup(const std::vector<Range>& ranges, Addr addr);
 
   std::vector<Range> functions_;  // sorted by begin
   std::vector<Range> data_;       // sorted by begin

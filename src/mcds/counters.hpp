@@ -67,16 +67,16 @@ class CounterBank {
   unsigned flag_index(unsigned group, unsigned counter) const;
 
   void arm(unsigned group, bool armed);
-  bool armed(unsigned group) const { return groups_.at(group).armed; }
+  bool armed(unsigned group) const { return windows_.at(group).armed; }
 
   /// Force an immediate sample regardless of the basis position
   /// (kSampleGroup trigger action). No-op on an empty accumulation.
   void force_sample(unsigned group, Cycle now);
 
-  /// Accumulate one cycle (`events`, observed at cycle `now`); emits zero
-  /// or more samples into samples(). `comparator_hits` feeds counter
-  /// qualifiers (may be null when no counter uses one).
-  void step(const EventValues& events, Cycle now,
+  /// Accumulate one cycle, `frame`, in place; emits zero or more samples
+  /// stamped `frame.cycle` into samples(). `comparator_hits` feeds
+  /// counter qualifiers (may be null when no counter uses one).
+  void step(const ObservationFrame& frame,
             const std::vector<bool>* comparator_hits = nullptr);
 
   /// Samples emitted during the last step()/force_sample(); cleared at
@@ -89,10 +89,9 @@ class CounterBank {
   /// must be stepped; ~0 means counters impose no bound.
   u64 idle_skip_limit(const EventValues& idle) const;
 
-  /// Bulk-accumulate `n` repetitions of `idle` — exactly what `n` step()
-  /// calls would have accumulated, provided `n` is within
-  /// idle_skip_limit() so no sample boundary is crossed.
-  void skip_idle(const EventValues& idle,
+  /// step() for `n` repetitions of `idle` in one accumulation, provided
+  /// `n` is within idle_skip_limit() so no sample boundary is crossed.
+  void skip_idle(const ObservationFrame& idle,
                  const std::vector<bool>* comparator_hits, u64 n);
 
   /// Current threshold flags (index via flag_index).
@@ -104,39 +103,50 @@ class CounterBank {
   // A group's open measurement window. The counters are running event
   // totals: while a group is armed, its basis and each unqualified
   // counter count what totals_ gained since a mark taken at the window
-  // start, so a cycle costs one basis compare per armed group. Every
-  // other count is held outright: a comparator-qualified counter adds
-  // its event in the cycles its comparator matches, and a disarmed
-  // group's window is frozen in `held` when it is disarmed.
+  // start. Every other count is held outright: a comparator-qualified
+  // counter adds its event in the cycles its comparator matches, and a
+  // disarmed group's window is frozen in `held` when it is disarmed.
   struct Group {
     CounterGroupConfig config;
-    bool armed = true;
-    u32 basis_mark = 0;
-    u32 basis_held = 0;
+    u32 basis_held = 0;  // the window's basis while disarmed
     std::vector<u32> marks;
     std::vector<u32> held;
     std::vector<unsigned> qualified;   // indices of qualified counters
     std::vector<unsigned> flag_slots;  // per counter; ~0u = no threshold
   };
+  // Each group's sample boundary, apart from its configuration, so a
+  // cycle that closes no window reads one compact entry per group.
+  struct Window {
+    u8 basis = 0;  // EventId of the group's basis
+    bool armed = true;
+    u32 mark = 0;  // basis total at the window start (armed only)
+    u32 resolution = 1;
+  };
 
-  bool counts_from_totals(const Group& g, usize counter) const {
-    return g.armed && !g.config.counters[counter].qualifier.has_value();
+  bool counts_from_totals(unsigned group, usize counter) const {
+    return windows_[group].armed &&
+           !groups_[group].config.counters[counter].qualifier.has_value();
   }
-  u32 basis_count(const Group& g) const {
-    return g.armed ? totals_[static_cast<unsigned>(g.config.basis)] -
-                         g.basis_mark
-                   : g.basis_held;
+  u32 basis_count(unsigned group) const {
+    const Window& w = windows_.at(group);
+    return w.armed ? totals_[w.basis] - w.mark : groups_[group].basis_held;
   }
-  std::vector<u32> counts(const Group& g) const;
+  std::vector<u32> counts(unsigned group) const;
   /// Make the group's window hold `basis` ticks and `counts` (all zero
   /// when null), in the form its armed state reads.
-  void set_window(Group& g, u32 basis, const std::vector<u32>* counts);
-  void emit_sample(Group& group, unsigned index, Cycle now);
+  void set_window(unsigned group, u32 basis, const std::vector<u32>* counts);
+  void emit_sample(unsigned group, Cycle now);
+  /// Add `n` repetitions of `frame` to the totals, and each qualified
+  /// counter's share to its armed group's window.
+  void accumulate(const ObservationFrame& frame,
+                  const std::vector<bool>* comparator_hits, u32 n);
 
-  // Per-event sums since reset(), in u32 like the hardware counters: a
-  // window reads total minus mark, exact modulo 2^32.
-  std::array<u32, kNumEvents> totals_{};
+  // Per-event sums since reset(): a window reads total minus mark, exact
+  // modulo 2^32.
+  EventTotals totals_{};
   std::vector<Group> groups_;
+  std::vector<Window> windows_;  // one per group
+  bool any_qualified_ = false;
   std::vector<bool> flags_;
   std::vector<RateSample> samples_;
 };

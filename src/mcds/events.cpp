@@ -32,84 +32,115 @@ const char* to_string(StallRootCause cause) {
   return "?";
 }
 
-EventValues::EventValues(const ObservationFrame& f) {
-  // The slots are assigned one by one rather than zeroed first: the
-  // table is rebuilt every observed cycle. A new EventId needs its line
-  // below; this count is the reminder.
-  static_assert(kNumEvents == 52, "assign the new event in EventValues");
+namespace {
+
+constexpr unsigned idx(EventId id) { return static_cast<unsigned>(id); }
+
+// Stall-root strobes follow StallRootCause's order from kFrontend to kWfi.
+static_assert(idx(EventId::kTcStallRootWfi) - idx(EventId::kTcStallRootFrontend) ==
+              static_cast<unsigned>(StallRootCause::kWfi) -
+                  static_cast<unsigned>(StallRootCause::kFrontend));
+
+bool parked(const CoreObservation& c) {
+  return c.present &&
+         (c.stall == StallCause::kWfi || c.stall == StallCause::kHalted);
+}
+
+}  // namespace
+
+void accumulate_events(EventTotals& totals, const ObservationFrame& f, u32 n) {
+  // A new EventId needs its line below; this count is the reminder.
+  static_assert(kNumEvents == 52, "accumulate the new event here");
+  u32* const t = totals.data();
   const CoreObservation& tc = f.tc;
   const CoreObservation& pcp = f.pcp;
-  const auto set = [this](EventId id, u32 value) {
-    values_[static_cast<unsigned>(id)] = value;
-  };
-  const auto tc_root = [&](StallRootCause root) -> u32 {
-    return (tc.present && tc.attr.root == root) ? 1 : 0;
-  };
-  const auto parked = [](const CoreObservation& c) -> u32 {
-    return (c.present && (c.stall == StallCause::kWfi ||
-                          c.stall == StallCause::kHalted)) ? 1 : 0;
-  };
-  set(EventId::kNone, 0);
-  set(EventId::kCycles, 1);
-  set(EventId::kTcRetired, tc.retired);
-  set(EventId::kTcStalled, (tc.present && tc.retired == 0 &&
-                            tc.stall != StallCause::kHalted) ? 1 : 0);
-  set(EventId::kTcStallIFetch, tc.stall == StallCause::kIFetch ? 1 : 0);
-  set(EventId::kTcStallLoadUse, tc.stall == StallCause::kLoadUse ? 1 : 0);
-  set(EventId::kTcICacheAccess, tc.icache_access);
-  set(EventId::kTcICacheHit, tc.icache_hit);
-  set(EventId::kTcICacheMiss, tc.icache_miss);
-  set(EventId::kTcDCacheAccess, tc.dcache_access);
-  set(EventId::kTcDCacheHit, tc.dcache_hit);
-  set(EventId::kTcDCacheMiss, tc.dcache_miss);
-  set(EventId::kTcDataAccess, tc.data_access);
-  set(EventId::kTcDataWrite, tc.data_access && tc.data_write);
-  set(EventId::kTcDsprAccess, tc.dspr_access);
-  set(EventId::kTcFlashDataAccess, tc.flash_data_access);
-  set(EventId::kTcSramDataAccess, tc.sram_data_access);
-  set(EventId::kTcPeriphDataAccess, tc.periph_data_access);
-  set(EventId::kTcIrqEntry, tc.irq_entry);
-  set(EventId::kTcIrqExit, tc.irq_exit);
-  set(EventId::kTcDiscontinuity, tc.discontinuity);
-  set(EventId::kTcStallRootFrontend, tc_root(StallRootCause::kFrontend));
-  set(EventId::kTcStallRootExec, tc_root(StallRootCause::kExec));
-  set(EventId::kTcStallRootFlashBuffer, tc_root(StallRootCause::kFlashBuffer));
-  set(EventId::kTcStallRootFlashRead, tc_root(StallRootCause::kFlashRead));
-  set(EventId::kTcStallRootFlashConflict,
-      tc_root(StallRootCause::kFlashPortConflict));
-  set(EventId::kTcStallRootBusArb, tc_root(StallRootCause::kBusArbitration));
-  set(EventId::kTcStallRootBusBusy, tc_root(StallRootCause::kBusSlaveBusy));
-  set(EventId::kTcStallRootWfi, tc_root(StallRootCause::kWfi));
-  set(EventId::kPcpRetired, pcp.retired);
-  set(EventId::kPcpStalled, (pcp.present && pcp.retired == 0 &&
-                             pcp.stall != StallCause::kHalted &&
-                             pcp.stall != StallCause::kWfi) ? 1 : 0);
-  set(EventId::kPcpIrqEntry, pcp.irq_entry);
-  set(EventId::kPcpDataAccess, pcp.data_access);
-  set(EventId::kFlashCodeAccess, f.flash.code_access);
-  set(EventId::kFlashCodeBufferHit, f.flash.code_buffer_hit);
-  set(EventId::kFlashDataPortAccess, f.flash.data_access);
-  set(EventId::kFlashDataBufferHit, f.flash.data_buffer_hit);
-  set(EventId::kFlashPortConflict, f.flash.array_conflict);
-  set(EventId::kBusGrant, f.sri.any_grant);
-  set(EventId::kBusContention, f.sri.contention);
-  set(EventId::kBusWaitingMasters, f.sri.waiting_masters);
-  set(EventId::kDmaTransfer, f.dma.transfer);
-  set(EventId::kSafetyEccCorrected, f.safety.ecc_corrected);
-  set(EventId::kSafetyEccUncorrectable, f.safety.ecc_uncorrectable);
-  set(EventId::kSafetyBusError, f.safety.bus_error);
-  set(EventId::kSafetyWdtTimeout, f.safety.wdt_timeout);
-  set(EventId::kSafetyTrap, f.safety.cpu_trap);
-  set(EventId::kSafetyAlarmIrq, f.safety.alarm_irq);
-  set(EventId::kDagIrqRaise, f.irq.count);
-  set(EventId::kDagIsrEnter, ((tc.irq_entry || tc.trap_entry) ? 1u : 0u) +
-                                 ((pcp.irq_entry || pcp.trap_entry) ? 1u : 0u));
-  set(EventId::kDagIsrExit, (tc.irq_exit ? 1u : 0u) + (pcp.irq_exit ? 1u : 0u));
-  set(EventId::kDagIdle, parked(tc) + parked(pcp));
+
+  // Every cycle: the clock and the cores' retire, stall and fetch
+  // strobes, added branch-free.
+  t[idx(EventId::kCycles)] += n;
+  t[idx(EventId::kTcRetired)] += n * tc.retired;
+  t[idx(EventId::kTcStalled)] +=
+      n * (tc.present && tc.retired == 0 && tc.stall != StallCause::kHalted);
+  t[idx(EventId::kTcStallIFetch)] += n * (tc.stall == StallCause::kIFetch);
+  t[idx(EventId::kTcStallLoadUse)] += n * (tc.stall == StallCause::kLoadUse);
+  t[idx(EventId::kTcICacheAccess)] += n * tc.icache_access;
+  t[idx(EventId::kTcICacheHit)] += n * tc.icache_hit;
+  t[idx(EventId::kTcICacheMiss)] += n * tc.icache_miss;
+  t[idx(EventId::kTcDiscontinuity)] += n * tc.discontinuity;
+  const StallRootCause root = tc.attr.root;
+  if (tc.present && root >= StallRootCause::kFrontend &&
+      root <= StallRootCause::kWfi) {
+    t[idx(EventId::kTcStallRootFrontend) + static_cast<unsigned>(root) -
+      static_cast<unsigned>(StallRootCause::kFrontend)] += n;
+  }
+  t[idx(EventId::kPcpRetired)] += n * pcp.retired;
+  t[idx(EventId::kPcpStalled)] +=
+      n * (pcp.present && pcp.retired == 0 &&
+           pcp.stall != StallCause::kHalted && pcp.stall != StallCause::kWfi);
+  t[idx(EventId::kPcpDataAccess)] += n * pcp.data_access;
+  t[idx(EventId::kDagIrqRaise)] += n * f.irq.count;
+  t[idx(EventId::kDagIdle)] += n * (parked(tc) + parked(pcp));
+
+  // Sections an uneventful cycle leaves empty: the TC's data side, ...
+  if (tc.dcache_access | tc.dcache_hit | tc.dcache_miss | tc.data_access |
+      tc.dspr_access | tc.flash_data_access | tc.sram_data_access |
+      tc.periph_data_access) {
+    t[idx(EventId::kTcDCacheAccess)] += n * tc.dcache_access;
+    t[idx(EventId::kTcDCacheHit)] += n * tc.dcache_hit;
+    t[idx(EventId::kTcDCacheMiss)] += n * tc.dcache_miss;
+    t[idx(EventId::kTcDataAccess)] += n * tc.data_access;
+    t[idx(EventId::kTcDataWrite)] += n * (tc.data_access && tc.data_write);
+    t[idx(EventId::kTcDsprAccess)] += n * tc.dspr_access;
+    t[idx(EventId::kTcFlashDataAccess)] += n * tc.flash_data_access;
+    t[idx(EventId::kTcSramDataAccess)] += n * tc.sram_data_access;
+    t[idx(EventId::kTcPeriphDataAccess)] += n * tc.periph_data_access;
+  }
+  // ... the flash and fabric strobes, DMA, safety alarms, and handler
+  // entry and exit.
+  const mem::PFlash::Strobes& flash = f.flash;
+  if (flash.code_access | flash.code_buffer_hit | flash.data_access |
+      flash.data_buffer_hit | flash.array_conflict) {
+    t[idx(EventId::kFlashCodeAccess)] += n * flash.code_access;
+    t[idx(EventId::kFlashCodeBufferHit)] += n * flash.code_buffer_hit;
+    t[idx(EventId::kFlashDataPortAccess)] += n * flash.data_access;
+    t[idx(EventId::kFlashDataBufferHit)] += n * flash.data_buffer_hit;
+    t[idx(EventId::kFlashPortConflict)] += n * flash.array_conflict;
+  }
+  const bus::FabricObservation& sri = f.sri;
+  if (sri.any_grant | sri.contention | (sri.waiting_masters != 0)) {
+    t[idx(EventId::kBusGrant)] += n * sri.any_grant;
+    t[idx(EventId::kBusContention)] += n * sri.contention;
+    t[idx(EventId::kBusWaitingMasters)] += n * sri.waiting_masters;
+  }
+  if (f.dma.transfer) t[idx(EventId::kDmaTransfer)] += n;
+  const SafetyObservation& safety = f.safety;
+  if ((safety.ecc_corrected | safety.ecc_uncorrectable) != 0 ||
+      (safety.bus_error | safety.wdt_timeout | safety.cpu_trap |
+       safety.alarm_irq)) {
+    t[idx(EventId::kSafetyEccCorrected)] += n * safety.ecc_corrected;
+    t[idx(EventId::kSafetyEccUncorrectable)] += n * safety.ecc_uncorrectable;
+    t[idx(EventId::kSafetyBusError)] += n * safety.bus_error;
+    t[idx(EventId::kSafetyWdtTimeout)] += n * safety.wdt_timeout;
+    t[idx(EventId::kSafetyTrap)] += n * safety.cpu_trap;
+    t[idx(EventId::kSafetyAlarmIrq)] += n * safety.alarm_irq;
+  }
+  if (tc.irq_entry | tc.trap_entry | tc.irq_exit | pcp.irq_entry |
+      pcp.trap_entry | pcp.irq_exit) {
+    t[idx(EventId::kTcIrqEntry)] += n * tc.irq_entry;
+    t[idx(EventId::kTcIrqExit)] += n * tc.irq_exit;
+    t[idx(EventId::kPcpIrqEntry)] += n * pcp.irq_entry;
+    t[idx(EventId::kDagIsrEnter)] +=
+        n * ((tc.irq_entry || tc.trap_entry) + (pcp.irq_entry || pcp.trap_entry));
+    t[idx(EventId::kDagIsrExit)] += n * (tc.irq_exit + pcp.irq_exit);
+  }
+}
+
+EventValues::EventValues(const ObservationFrame& frame) {
+  accumulate_events(values_, frame, 1);
 }
 
 u32 event_value(const ObservationFrame& f, EventId id) {
-  if (static_cast<unsigned>(id) >= kNumEvents) return 0;
+  if (idx(id) >= kNumEvents) return 0;
   return EventValues(f)[id];
 }
 

@@ -85,9 +85,20 @@ enum class EventId : u8 {
 
 inline constexpr unsigned kNumEvents = static_cast<unsigned>(EventId::kEventCount);
 
-/// Every event's value in one frame: the event mux, evaluated once per
-/// cycle. This is the mux's only definition; the counter bank, trigger
-/// terms and event_value() all read it.
+/// Per-event sums, in u32 like the hardware counters (exact modulo 2^32).
+using EventTotals = std::array<u32, kNumEvents>;
+
+/// Add `n` repetitions of `frame`'s event values into `totals`. This is
+/// the event mux's only definition; EventValues, the counter bank and
+/// event_value() all read it. The sections an uneventful cycle leaves
+/// empty (the TC's data side, flash and fabric strobes, DMA, safety
+/// alarms, handler entry and exit) cost one test each.
+void accumulate_events(EventTotals& totals, const ObservationFrame& frame,
+                       u32 n);
+
+/// Every event's value in one frame: accumulate_events() over zeros. The
+/// trigger network's event terms and the counter bank's idle-skip bound
+/// read it.
 class EventValues {
  public:
   explicit EventValues(const ObservationFrame& frame);
@@ -96,11 +107,10 @@ class EventValues {
     assert(static_cast<unsigned>(id) < kNumEvents);
     return values_[static_cast<unsigned>(id)];
   }
-  const std::array<u32, kNumEvents>& all() const { return values_; }
+  const EventTotals& all() const { return values_; }
 
  private:
-  // Every slot is assigned by the constructor.
-  std::array<u32, kNumEvents> values_;
+  EventTotals values_{};
 };
 
 /// The value of event `id` in frame `frame` (0 when the event did not

@@ -34,7 +34,12 @@ void Mcds::register_metrics(telemetry::MetricsRegistry& registry,
                  [this] { return encoder_.bytes_encoded(); });
 }
 
-Mcds::Mcds(McdsConfig config) : config_(std::move(config)), fsm_(config_.fsm) {
+Mcds::Mcds(McdsConfig config)
+    : config_(std::move(config)),
+      trigger_network_(!config_.comparators.empty() ||
+                       !config_.actions.empty() ||
+                       !config_.fsm.transitions.empty()),
+      fsm_(config_.fsm) {
   for (const CounterGroupConfig& g : config_.counter_groups) {
     counters_.add_group(g);
   }
@@ -151,19 +156,15 @@ void Mcds::skip_idle(const ObservationFrame& idle_frame, u64 n) {
   // network, anchors, hints and message stream untouched: only the
   // counter bank accumulates.
   evaluate_comparators(config_.comparators, idle_frame, comparator_hits_);
-  counters_.skip_idle(EventValues(idle_frame), &comparator_hits_, n);
+  counters_.skip_idle(idle_frame, &comparator_hits_, n);
 }
 
-void Mcds::observe(const ObservationFrame& frame) {
+void Mcds::run_trigger_network(
+    const ObservationFrame& frame,
+    std::vector<std::pair<TriggerAction, u32>>& fired) {
   const Cycle now = frame.cycle;
-
-  // 1. The cycle's event values, comparators and counters.
+  // FSM transition, then action equations on the post-transition state.
   const EventValues events(frame);
-  evaluate_comparators(config_.comparators, frame, comparator_hits_);
-  counters_.step(events, now, &comparator_hits_);
-
-  // 2. Trigger network: FSM transition, then action equations on the
-  //    post-transition state.
   TriggerContext ctx;
   ctx.events = &events;
   ctx.comparator_hits = &comparator_hits_;
@@ -172,7 +173,6 @@ void Mcds::observe(const ObservationFrame& frame) {
   fsm_.step(ctx);
   ctx.state = fsm_.state();
 
-  std::vector<std::pair<TriggerAction, u32>> fired;
   for (const ActionBinding& binding : config_.actions) {
     if (binding.action == TriggerAction::kNone) continue;
     if (evaluate(binding.condition, ctx)) {
@@ -199,9 +199,24 @@ void Mcds::observe(const ObservationFrame& frame) {
         break;
       case TriggerAction::kEmitWatchpoint:
       case TriggerAction::kNone:
-        break;  // watchpoints emitted below, in message order
+        break;  // watchpoints emitted by observe(), in message order
     }
   }
+}
+
+void Mcds::observe(const ObservationFrame& frame) {
+  const Cycle now = frame.cycle;
+
+  // 1. Comparators and counters. Without a trigger network there are no
+  //    comparators, so no counter qualifier can match.
+  if (trigger_network_) {
+    evaluate_comparators(config_.comparators, frame, comparator_hits_);
+  }
+  counters_.step(frame, &comparator_hits_);
+
+  // 2. Trigger network, when one is configured.
+  std::vector<std::pair<TriggerAction, u32>> fired;
+  if (trigger_network_) run_trigger_network(frame, fired);
 
   // 3. Bookkeeping that runs whether or not trace is enabled.
   pending_instrs_[0] += frame.tc.retired;

@@ -128,7 +128,14 @@ class Mcds {
   void emit(TraceMessage msg);
   void emit_sync(MsgSource source, Cycle now);
 
+  /// The trigger network: comparators, FSM and action equations, which
+  /// observe() runs only when the config has comparators, actions or FSM
+  /// transitions (`trigger_network_`, fixed at construction).
+  void run_trigger_network(const ObservationFrame& frame,
+                           std::vector<std::pair<TriggerAction, u32>>& fired);
+
   McdsConfig config_;
+  bool trigger_network_ = false;
   TraceSink* sink_ = nullptr;
 
   CounterBank counters_;

@@ -32,21 +32,28 @@ const char* short_name(mcds::StallRootCause root) {
 CpiStackBuilder::CpiStackBuilder(isa::SymbolMap symbols)
     : symbols_(std::move(symbols)), current_(&kUnknown) {}
 
-void CpiStackBuilder::charge(const mcds::CoreObservation& obs, u64 n) {
-  // Track the executing function: a retire pins it exactly; a
-  // no-retire discontinuity (irq/trap vectoring) redirects it to the
-  // target so the entry bubble is charged to the handler.
-  const std::string* function = current_;
-  if (obs.retired > 0) {
-    function = &symbols_.function_at(obs.retire_pc);
-  } else if (obs.discontinuity) {
-    function = &symbols_.function_at(obs.discontinuity_target);
-  }
+void CpiStackBuilder::enter(const isa::SymbolMap::Range* range) {
+  begin_ = range != nullptr ? range->begin : 0;
+  end_ = range != nullptr ? range->end : 0;
+  const std::string* function = range != nullptr ? &range->name : &kUnknown;
   // The map is looked up only when the function changes.
-  if (entry_ == nullptr || function != current_) {
+  if (entry_ == nullptr || *function != *current_) {
     current_ = function;
     entry_ = &functions_[*function];
     if (entry_->name.empty()) entry_->name = *function;
+  }
+}
+
+void CpiStackBuilder::charge(const mcds::CoreObservation& obs, u64 n) {
+  // Track the executing function: a retire pins it exactly; a
+  // no-retire discontinuity (irq/trap vectoring) redirects it to the
+  // target so the entry bubble is charged to the handler. The symbol map
+  // is consulted only when that pc leaves the current function's range.
+  if (obs.retired > 0 || obs.discontinuity) {
+    const Addr pc = obs.retired > 0 ? obs.retire_pc : obs.discontinuity_target;
+    if (pc - begin_ >= end_ - begin_) enter(symbols_.function_range(pc));
+  } else if (entry_ == nullptr) {
+    enter(nullptr);  // nothing ran yet: the unknown function
   }
   CpiStackEntry& e = *entry_;
   e.cycles += n;

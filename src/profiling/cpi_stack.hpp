@@ -12,7 +12,8 @@
 // SystemProfiler). Fast-forwarded idle windows arrive through the
 // skip_idle() bulk notification and land in the current function's
 // kWfi/kHalted bucket, so results are bit-identical with fast-forward on
-// or off.
+// or off. The builder keeps the current function's address range and
+// consults the symbol map only when execution leaves it.
 #pragma once
 
 #include <array>
@@ -73,10 +74,16 @@ class CpiStackBuilder : public soc::FrameObserver {
  private:
   void charge(const mcds::CoreObservation& obs, u64 n);
 
+  /// Make `range`'s function (the unknown one when null) the current one.
+  void enter(const isa::SymbolMap::Range* range);
+
   isa::SymbolMap symbols_;
   std::map<std::string, CpiStackEntry> functions_;
   const std::string* current_ = nullptr;  // function charged for stalls
   CpiStackEntry* entry_ = nullptr;        // functions_[*current_]
+  // The current function's [begin, end); empty while it is unmapped.
+  Addr begin_ = 0;
+  Addr end_ = 0;
   u64 observed_cycles_ = 0;
 };
 

@@ -43,6 +43,12 @@ const char* to_string(BottleneckLabel label) {
 
 namespace {
 
+// A core parked in WFI or halt this cycle.
+bool parked(const mcds::CoreObservation& obs) {
+  return obs.retired == 0 && (obs.stall == mcds::StallCause::kWfi ||
+                              obs.stall == mcds::StallCause::kHalted);
+}
+
 // The name an activation goes by: the function it retired in, or, for one
 // that never retired in a named function, its kind's fallback.
 std::string resolved_task(const DagNode& node) {
@@ -139,10 +145,7 @@ void ExecutionDag::transition(u8 core, const mcds::CoreObservation& obs,
     s.stack.push_back(std::move(ctx));
     return;
   }
-  const bool parked = obs.retired == 0 &&
-                      (obs.stall == mcds::StallCause::kWfi ||
-                       obs.stall == mcds::StallCause::kHalted);
-  if (parked) {
+  if (parked(obs)) {
     if (s.idle_node == kDagNoNode) {
       // WFI/halt park: a voluntary suspension, not a preemption — the
       // resumed node carries no preempted_cycles.
@@ -188,9 +191,23 @@ u32 ExecutionDag::current_node(u8 core, Cycle first) {
   return top.node;
 }
 
-void ExecutionDag::charge(u8 core, const mcds::CoreObservation& obs,
+u32 ExecutionDag::uneventful_node(u8 core,
+                                  const mcds::CoreObservation& obs) const {
+  if (obs.irq_entry || obs.trap_entry || obs.irq_exit ||
+      obs.attr.root == mcds::StallRootCause::kBusArbitration) {
+    return kDagNoNode;
+  }
+  const CoreState& s = state_[core];
+  // Parked: the idle node, unless the park starts here.
+  if (parked(obs)) return s.idle_node;
+  // Running: the open context node, unless a park ends here, or the
+  // base or a resume node opens here.
+  if (s.idle_node != kDagNoNode || s.stack.empty()) return kDagNoNode;
+  return s.stack.back().node;
+}
+
+void ExecutionDag::charge(u8 core, u32 id, const mcds::CoreObservation& obs,
                           Cycle first, u64 n) {
-  const u32 id = current_node(core, first);
   DagNode& node = nodes_[id];
   node.end = first + n - 1;
   node.cycles += n;
@@ -278,13 +295,26 @@ void ExecutionDag::observe(const mcds::ObservationFrame& frame) {
     if (r.target > kDagCorePcp) continue;  // DMA triggers have no core node
     state_[r.target].pending_raise.try_emplace(r.priority, frame.cycle);
   }
+  // An uneventful frame charges each present core's open node directly.
+  const u32 tc = frame.tc.present ? uneventful_node(kDagCoreTc, frame.tc)
+                                  : kDagNoNode;
+  const u32 pcp = frame.pcp.present ? uneventful_node(kDagCorePcp, frame.pcp)
+                                    : kDagNoNode;
+  if ((tc != kDagNoNode || !frame.tc.present) &&
+      (pcp != kDagNoNode || !frame.pcp.present)) {
+    if (frame.tc.present) charge(kDagCoreTc, tc, frame.tc, frame.cycle, 1);
+    if (frame.pcp.present) charge(kDagCorePcp, pcp, frame.pcp, frame.cycle, 1);
+    return;
+  }
   if (frame.tc.present) {
     transition(kDagCoreTc, frame.tc, frame.cycle);
-    charge(kDagCoreTc, frame.tc, frame.cycle, 1);
+    charge(kDagCoreTc, current_node(kDagCoreTc, frame.cycle), frame.tc,
+           frame.cycle, 1);
   }
   if (frame.pcp.present) {
     transition(kDagCorePcp, frame.pcp, frame.cycle);
-    charge(kDagCorePcp, frame.pcp, frame.cycle, 1);
+    charge(kDagCorePcp, current_node(kDagCorePcp, frame.cycle), frame.pcp,
+           frame.cycle, 1);
   }
   // Contention after both charges so each endpoint's node is open.
   if (frame.tc.present) contention_edge(kDagCoreTc, frame.tc, 1);
@@ -299,11 +329,11 @@ void ExecutionDag::skip_idle(const mcds::ObservationFrame& idle, u64 n) {
   const Cycle first = idle.cycle + 1;
   if (idle.tc.present) {
     transition(kDagCoreTc, idle.tc, first);
-    charge(kDagCoreTc, idle.tc, first, n);
+    charge(kDagCoreTc, current_node(kDagCoreTc, first), idle.tc, first, n);
   }
   if (idle.pcp.present) {
     transition(kDagCorePcp, idle.pcp, first);
-    charge(kDagCorePcp, idle.pcp, first, n);
+    charge(kDagCorePcp, current_node(kDagCorePcp, first), idle.pcp, first, n);
   }
   last_cycle_ = idle.cycle + n;
 }

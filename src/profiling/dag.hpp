@@ -12,7 +12,9 @@
 // Like the CpiStackBuilder, the DAG rides the Soc frame-observer hook:
 // segmentation state advances only on published frames, fast-forwarded
 // idle windows arrive through skip_idle() and charge the open idle node
-// in bulk, so the result is bit-identical with fast-forward on or off.
+// in bulk, so the result is bit-identical with fast-forward on or off. A
+// frame that enters or leaves no handler or park, loses no arbitration
+// and finds each core's node open charges those nodes directly.
 // Conservation holds by construction: every present-core cycle is
 // charged to exactly one node, so per core Σ(node cycles) equals
 // cpu::Cpu::cycles() over the observed window.
@@ -222,7 +224,14 @@ class ExecutionDag : public soc::FrameObserver {
   void transition(u8 core, const mcds::CoreObservation& obs, Cycle first);
   /// The node the next cycle charges to, opening lazy resume/base nodes.
   u32 current_node(u8 core, Cycle first);
-  void charge(u8 core, const mcds::CoreObservation& obs, Cycle first, u64 n);
+  /// The open node `obs` charges when it changes nothing the DAG tracks:
+  /// no handler entry or exit, no park entered or left, no lost
+  /// arbitration, and no node to open. kDagNoNode otherwise: the frame
+  /// takes the transition path.
+  u32 uneventful_node(u8 core, const mcds::CoreObservation& obs) const;
+  /// Charge `n` cycles of `obs` to node `id` on `core`.
+  void charge(u8 core, u32 id, const mcds::CoreObservation& obs, Cycle first,
+              u64 n);
   /// Post-charge transition: RFE closes the handler, pops the context.
   void retire_isr(u8 core, const mcds::CoreObservation& obs);
   u32 synthetic_node(bus::MasterId master, Cycle at);

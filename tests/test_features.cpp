@@ -67,7 +67,7 @@ TEST(QualifiedCounters, MissingComparatorTableMeansZero) {
   for (Cycle cyc = 1; cyc <= 10; ++cyc) {
     mcds::ObservationFrame f;
     f.cycle = cyc;
-    bank.step(mcds::EventValues(f), f.cycle, &hits);
+    bank.step(f, &hits);
   }
   ASSERT_EQ(bank.samples().size(), 1u);
   EXPECT_EQ(bank.samples()[0].counts[0], 0u);

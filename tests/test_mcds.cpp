@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
 #include <string>
 
 #include "common/prng.hpp"
@@ -24,7 +25,7 @@ ObservationFrame frame_at(Cycle cycle) {
 
 void step(CounterBank& bank, const ObservationFrame& f,
           const std::vector<bool>* hits = nullptr) {
-  bank.step(EventValues(f), f.cycle, hits);
+  bank.step(f, hits);
 }
 
 TEST(Events, ValuesReflectFrame) {
@@ -56,6 +57,258 @@ TEST(Events, StalledExcludesHaltAndRetirement) {
 TEST(Events, EveryEventHasAName) {
   for (unsigned i = 1; i < kNumEvents; ++i) {
     EXPECT_NE(event_name(static_cast<EventId>(i)), "?");
+  }
+}
+
+// ---- the mux, one field at a time --------------------------------------
+//
+// Each row sets one frame field the mux reads (or a field with the one it
+// is gated by) on an empty frame and names every event it must move; all
+// other events must read as on the empty frame (kCycles 1, the rest 0).
+// The rows are checked through all three readers of the one mux
+// definition: accumulate_events, EventValues and CounterBank::skip_idle.
+// The counter bank's differential test reads its reference through the
+// same definition, so only a table like this catches a section test that
+// misses a field.
+
+struct MuxRow {
+  std::string field;
+  std::function<void(ObservationFrame&)> set;
+  std::vector<std::pair<EventId, u32>> moves;
+};
+
+std::vector<MuxRow> mux_rows() {
+  using E = EventId;
+  using R = StallRootCause;
+  using S = StallCause;
+  std::vector<MuxRow> rows = {
+      {"tc.present", [](ObservationFrame& f) { f.tc.present = true; },
+       {{E::kTcStalled, 1}}},
+      {"tc.retired", [](ObservationFrame& f) { f.tc.retired = 3; },
+       {{E::kTcRetired, 3}}},
+      {"tc.present+retired",
+       [](ObservationFrame& f) {
+         f.tc.present = true;
+         f.tc.retired = 2;
+       },
+       {{E::kTcRetired, 2}}},
+      {"tc.stall=ifetch", [](ObservationFrame& f) { f.tc.stall = S::kIFetch; },
+       {{E::kTcStallIFetch, 1}}},
+      {"tc.stall=load-use",
+       [](ObservationFrame& f) { f.tc.stall = S::kLoadUse; },
+       {{E::kTcStallLoadUse, 1}}},
+      {"tc.stall=wfi", [](ObservationFrame& f) { f.tc.stall = S::kWfi; }, {}},
+      {"tc.present+stall=wfi",
+       [](ObservationFrame& f) {
+         f.tc.present = true;
+         f.tc.stall = S::kWfi;
+       },
+       {{E::kTcStalled, 1}, {E::kDagIdle, 1}}},
+      {"tc.present+stall=halted",
+       [](ObservationFrame& f) {
+         f.tc.present = true;
+         f.tc.stall = S::kHalted;
+       },
+       {{E::kDagIdle, 1}}},
+      {"tc.attr.root=frontend",
+       [](ObservationFrame& f) { f.tc.attr.root = R::kFrontend; }, {}},
+      {"tc.present+attr.root=halted",
+       [](ObservationFrame& f) {
+         f.tc.present = true;
+         f.tc.attr.root = R::kHalted;
+       },
+       {{E::kTcStalled, 1}}},
+      {"tc.icache_access", [](ObservationFrame& f) { f.tc.icache_access = true; },
+       {{E::kTcICacheAccess, 1}}},
+      {"tc.icache_hit", [](ObservationFrame& f) { f.tc.icache_hit = true; },
+       {{E::kTcICacheHit, 1}}},
+      {"tc.icache_miss", [](ObservationFrame& f) { f.tc.icache_miss = true; },
+       {{E::kTcICacheMiss, 1}}},
+      {"tc.dcache_access", [](ObservationFrame& f) { f.tc.dcache_access = true; },
+       {{E::kTcDCacheAccess, 1}}},
+      {"tc.dcache_hit", [](ObservationFrame& f) { f.tc.dcache_hit = true; },
+       {{E::kTcDCacheHit, 1}}},
+      {"tc.dcache_miss", [](ObservationFrame& f) { f.tc.dcache_miss = true; },
+       {{E::kTcDCacheMiss, 1}}},
+      {"tc.data_access", [](ObservationFrame& f) { f.tc.data_access = true; },
+       {{E::kTcDataAccess, 1}}},
+      {"tc.data_write", [](ObservationFrame& f) { f.tc.data_write = true; }, {}},
+      {"tc.data_access+data_write",
+       [](ObservationFrame& f) {
+         f.tc.data_access = true;
+         f.tc.data_write = true;
+       },
+       {{E::kTcDataAccess, 1}, {E::kTcDataWrite, 1}}},
+      {"tc.dspr_access", [](ObservationFrame& f) { f.tc.dspr_access = true; },
+       {{E::kTcDsprAccess, 1}}},
+      {"tc.flash_data_access",
+       [](ObservationFrame& f) { f.tc.flash_data_access = true; },
+       {{E::kTcFlashDataAccess, 1}}},
+      {"tc.sram_data_access",
+       [](ObservationFrame& f) { f.tc.sram_data_access = true; },
+       {{E::kTcSramDataAccess, 1}}},
+      {"tc.periph_data_access",
+       [](ObservationFrame& f) { f.tc.periph_data_access = true; },
+       {{E::kTcPeriphDataAccess, 1}}},
+      {"tc.discontinuity", [](ObservationFrame& f) { f.tc.discontinuity = true; },
+       {{E::kTcDiscontinuity, 1}}},
+      {"tc.irq_entry", [](ObservationFrame& f) { f.tc.irq_entry = true; },
+       {{E::kTcIrqEntry, 1}, {E::kDagIsrEnter, 1}}},
+      {"tc.irq_exit", [](ObservationFrame& f) { f.tc.irq_exit = true; },
+       {{E::kTcIrqExit, 1}, {E::kDagIsrExit, 1}}},
+      {"tc.trap_entry", [](ObservationFrame& f) { f.tc.trap_entry = true; },
+       {{E::kDagIsrEnter, 1}}},
+      {"tc.irq_entry+trap_entry",
+       [](ObservationFrame& f) {
+         f.tc.irq_entry = true;
+         f.tc.trap_entry = true;
+       },
+       {{E::kTcIrqEntry, 1}, {E::kDagIsrEnter, 1}}},
+      {"pcp.present", [](ObservationFrame& f) { f.pcp.present = true; },
+       {{E::kPcpStalled, 1}}},
+      {"pcp.retired", [](ObservationFrame& f) { f.pcp.retired = 2; },
+       {{E::kPcpRetired, 2}}},
+      {"pcp.present+stall=wfi",
+       [](ObservationFrame& f) {
+         f.pcp.present = true;
+         f.pcp.stall = S::kWfi;
+       },
+       {{E::kDagIdle, 1}}},
+      {"pcp.present+stall=halted",
+       [](ObservationFrame& f) {
+         f.pcp.present = true;
+         f.pcp.stall = S::kHalted;
+       },
+       {{E::kDagIdle, 1}}},
+      {"pcp.irq_entry", [](ObservationFrame& f) { f.pcp.irq_entry = true; },
+       {{E::kPcpIrqEntry, 1}, {E::kDagIsrEnter, 1}}},
+      {"pcp.irq_exit", [](ObservationFrame& f) { f.pcp.irq_exit = true; },
+       {{E::kDagIsrExit, 1}}},
+      {"pcp.trap_entry", [](ObservationFrame& f) { f.pcp.trap_entry = true; },
+       {{E::kDagIsrEnter, 1}}},
+      {"pcp.data_access", [](ObservationFrame& f) { f.pcp.data_access = true; },
+       {{E::kPcpDataAccess, 1}}},
+      {"flash.code_access",
+       [](ObservationFrame& f) { f.flash.code_access = true; },
+       {{E::kFlashCodeAccess, 1}}},
+      {"flash.code_buffer_hit",
+       [](ObservationFrame& f) { f.flash.code_buffer_hit = true; },
+       {{E::kFlashCodeBufferHit, 1}}},
+      {"flash.data_access",
+       [](ObservationFrame& f) { f.flash.data_access = true; },
+       {{E::kFlashDataPortAccess, 1}}},
+      {"flash.data_buffer_hit",
+       [](ObservationFrame& f) { f.flash.data_buffer_hit = true; },
+       {{E::kFlashDataBufferHit, 1}}},
+      {"flash.array_conflict",
+       [](ObservationFrame& f) { f.flash.array_conflict = true; },
+       {{E::kFlashPortConflict, 1}}},
+      {"sri.any_grant", [](ObservationFrame& f) { f.sri.any_grant = true; },
+       {{E::kBusGrant, 1}}},
+      {"sri.contention", [](ObservationFrame& f) { f.sri.contention = true; },
+       {{E::kBusContention, 1}}},
+      {"sri.waiting_masters",
+       [](ObservationFrame& f) { f.sri.waiting_masters = 3; },
+       {{E::kBusWaitingMasters, 3}}},
+      {"dma.transfer", [](ObservationFrame& f) { f.dma.transfer = true; },
+       {{E::kDmaTransfer, 1}}},
+      {"safety.ecc_corrected",
+       [](ObservationFrame& f) { f.safety.ecc_corrected = 2; },
+       {{E::kSafetyEccCorrected, 2}}},
+      {"safety.ecc_uncorrectable",
+       [](ObservationFrame& f) { f.safety.ecc_uncorrectable = 3; },
+       {{E::kSafetyEccUncorrectable, 3}}},
+      {"safety.bus_error", [](ObservationFrame& f) { f.safety.bus_error = true; },
+       {{E::kSafetyBusError, 1}}},
+      {"safety.wdt_timeout",
+       [](ObservationFrame& f) { f.safety.wdt_timeout = true; },
+       {{E::kSafetyWdtTimeout, 1}}},
+      {"safety.cpu_trap", [](ObservationFrame& f) { f.safety.cpu_trap = true; },
+       {{E::kSafetyTrap, 1}}},
+      {"safety.alarm_irq", [](ObservationFrame& f) { f.safety.alarm_irq = true; },
+       {{E::kSafetyAlarmIrq, 1}}},
+      {"irq.count", [](ObservationFrame& f) { f.irq.count = 3; },
+       {{E::kDagIrqRaise, 3}}},
+  };
+  // One row per attributed root cause: a present core's stall strobe.
+  static constexpr std::pair<R, E> kRoots[] = {
+      {R::kFrontend, E::kTcStallRootFrontend},
+      {R::kExec, E::kTcStallRootExec},
+      {R::kFlashBuffer, E::kTcStallRootFlashBuffer},
+      {R::kFlashRead, E::kTcStallRootFlashRead},
+      {R::kFlashPortConflict, E::kTcStallRootFlashConflict},
+      {R::kBusArbitration, E::kTcStallRootBusArb},
+      {R::kBusSlaveBusy, E::kTcStallRootBusBusy},
+      {R::kWfi, E::kTcStallRootWfi},
+  };
+  for (const auto& [root, event] : kRoots) {
+    rows.push_back(MuxRow{std::string("tc.present+attr.root=") + to_string(root),
+                          [root](ObservationFrame& f) {
+                            f.tc.present = true;
+                            f.tc.attr.root = root;
+                          },
+                          {{E::kTcStalled, 1}, {event, 1}}});
+  }
+  return rows;
+}
+
+EventTotals expected_values(const MuxRow& row) {
+  EventTotals want{};
+  want[static_cast<unsigned>(EventId::kCycles)] = 1;
+  for (const auto& [id, value] : row.moves) {
+    want[static_cast<unsigned>(id)] = value;
+  }
+  return want;
+}
+
+TEST(Events, EachFieldTheMuxReadsMovesExactlyItsEvents) {
+  const std::vector<MuxRow> rows = mux_rows();
+  // The bank reads every event but kNone: seven groups of up to eight
+  // counters on a cycle basis that never reaches its resolution.
+  CounterBank bank;
+  std::vector<EventId> read;
+  for (unsigned e = 1; e < kNumEvents; e += 8) {
+    CounterGroupConfig g;
+    g.basis = EventId::kCycles;
+    g.resolution = 1'000'000;
+    for (unsigned c = e; c < std::min(e + 8, kNumEvents); ++c) {
+      g.counters.push_back(RateCounterConfig{static_cast<EventId>(c), {}, {}});
+      read.push_back(static_cast<EventId>(c));
+    }
+    bank.add_group(g);
+  }
+  const unsigned groups = (kNumEvents - 1 + 7) / 8;
+  for (const MuxRow& row : rows) {
+    SCOPED_TRACE(row.field);
+    ObservationFrame f;
+    f.cycle = 5;
+    row.set(f);
+    const EventTotals want = expected_values(row);
+
+    EXPECT_EQ(EventValues(f).all(), want);
+
+    EventTotals totals{};
+    for (unsigned e = 0; e < kNumEvents; ++e) totals[e] = 1000 + e;
+    accumulate_events(totals, f, 7);
+    for (unsigned e = 0; e < kNumEvents; ++e) {
+      EXPECT_EQ(totals[e], 1000 + e + 7 * want[e])
+          << event_name(static_cast<EventId>(e));
+    }
+
+    bank.reset();
+    bank.skip_idle(f, nullptr, 5);
+    std::vector<u32> counts;
+    for (unsigned g = 0; g < groups; ++g) {
+      bank.force_sample(g, f.cycle);
+      ASSERT_EQ(bank.samples().size(), g + 1);
+      EXPECT_EQ(bank.samples()[g].basis, 5u);
+      for (const u32 c : bank.samples()[g].counts) counts.push_back(c);
+    }
+    ASSERT_EQ(counts.size(), read.size());
+    for (usize i = 0; i < read.size(); ++i) {
+      EXPECT_EQ(counts[i], 5 * want[static_cast<unsigned>(read[i])])
+          << event_name(read[i]);
+    }
   }
 }
 
@@ -667,7 +920,7 @@ void run_differential(u64 seed, Cycle cycles) {
       const u64 limit = bank.idle_skip_limit(EventValues(idle));
       EXPECT_EQ(limit, ref.idle_skip_limit(idle)) << "cycle " << cycle;
       const u64 n = std::min<u64>(limit, prng.next_below(50));
-      bank.skip_idle(EventValues(idle), &hits, n);
+      bank.skip_idle(idle, &hits, n);
       for (u64 k = 0; k < n; ++k) {
         ref.step(idle, hits);
         EXPECT_TRUE(ref.samples.empty()) << "skip limit crossed a sample";
