@@ -3,7 +3,9 @@
 #include <unistd.h>
 
 #include <cerrno>
+#include <charconv>
 #include <cstring>
+#include <limits>
 
 #include "common/json.hpp"
 
@@ -52,27 +54,85 @@ std::string record_line(const ScenarioRecord& r) {
   return std::move(w).str();
 }
 
-u64 get_u64(const json::JsonValue& obj, const std::string& key) {
-  const json::JsonValue* v = obj.find(key);
-  return v != nullptr && v->is_number() ? v->as_u64() : 0;
-}
+// Reads one manifest line's fields. Every field must be present with its
+// type: a missing or mistyped one would otherwise load as 0, false or
+// empty and change what a resumed scenario reports. The first bad field
+// is kept for the error, which names the line and the field.
+class FieldReader {
+ public:
+  explicit FieldReader(const json::JsonValue& obj) : obj_(obj) {}
 
-std::string get_string(const json::JsonValue& obj, const std::string& key) {
-  const json::JsonValue* v = obj.find(key);
-  return v != nullptr && v->is_string() ? v->string : std::string();
-}
-
-std::vector<u64> get_u64_array(const json::JsonValue& obj,
-                               const std::string& key) {
-  std::vector<u64> out;
-  const json::JsonValue* v = obj.find(key);
-  if (v == nullptr || !v->is_array()) return out;
-  out.reserve(v->array.size());
-  for (const json::JsonValue& e : v->array) {
-    out.push_back(e.is_number() ? e.as_u64() : 0);
+  std::string string(const char* key) {
+    const json::JsonValue* v = obj_.find(key);
+    if (v != nullptr && v->is_string()) return v->string;
+    fail(key, "a string");
+    return {};
   }
-  return out;
-}
+  u64 number(const char* key) {
+    const json::JsonValue* v = obj_.find(key);
+    u64 out = 0;
+    if (v == nullptr || !exact_u64(*v, out)) fail(key, "an unsigned integer");
+    return out;
+  }
+  u32 number32(const char* key) {
+    const u64 out = number(key);
+    if (out <= std::numeric_limits<u32>::max()) return static_cast<u32>(out);
+    fail(key, "a 32-bit unsigned integer");
+    return 0;
+  }
+  bool boolean(const char* key) {
+    const json::JsonValue* v = obj_.find(key);
+    if (v != nullptr && v->kind == json::JsonValue::Kind::kBool) {
+      return v->boolean;
+    }
+    fail(key, "true or false");
+    return false;
+  }
+  std::vector<u64> numbers(const char* key) {
+    const json::JsonValue* v = obj_.find(key);
+    std::vector<u64> out;
+    bool exact = v != nullptr && v->is_array();
+    if (exact) {
+      out.resize(v->array.size());
+      for (usize i = 0; i < out.size() && exact; ++i) {
+        exact = exact_u64(v->array[i], out[i]);
+      }
+    }
+    if (!exact) fail(key, "an array of unsigned integers");
+    return out;
+  }
+
+  /// OK, or an error naming `where` and the first bad field.
+  Status status(const std::string& where) const {
+    if (bad_key_ == nullptr) return Status::ok();
+    return error(StatusCode::kInvalidArgument,
+                 where + ": field \"" + bad_key_ + "\" is missing or not " +
+                     bad_type_);
+  }
+
+ private:
+  // A plain unsigned integer literal that fits in 64 bits: what the
+  // writer emits for every number.
+  static bool exact_u64(const json::JsonValue& v, u64& out) {
+    const std::string& literal = v.number_literal;
+    if (!v.is_number() || literal.empty() ||
+        literal.find_first_not_of("0123456789") != std::string::npos) {
+      return false;
+    }
+    const char* end = literal.data() + literal.size();
+    const auto [ptr, ec] = std::from_chars(literal.data(), end, out);
+    return ec == std::errc{} && ptr == end;
+  }
+  void fail(const char* key, const char* type) {
+    if (bad_key_ != nullptr) return;
+    bad_key_ = key;
+    bad_type_ = type;
+  }
+
+  const json::JsonValue& obj_;
+  const char* bad_key_ = nullptr;
+  const char* bad_type_ = nullptr;
+};
 
 Status errno_error(const std::string& what, const std::string& path) {
   return error(StatusCode::kNotFound,
@@ -159,37 +219,39 @@ Result<ManifestContents> CampaignManifest::load(const std::string& path) {
                    path + ":" + std::to_string(line_no) +
                        ": malformed manifest line");
     }
-    const json::JsonValue& obj = parsed.value();
+    const std::string where = path + ":" + std::to_string(line_no);
+    FieldReader fields(parsed.value());
     if (!have_header) {
-      if (get_string(obj, "kind") != kManifestKind) {
+      if (fields.string("kind") != kManifestKind) {
         return error(StatusCode::kInvalidArgument,
                      path + ": not a campaign manifest");
       }
-      if (get_u64(obj, "version") != kManifestVersion) {
+      if (fields.number("version") != kManifestVersion) {
         return error(StatusCode::kInvalidArgument,
                      path + ": unsupported manifest version");
       }
-      out.header.workload = get_string(obj, "workload");
-      out.header.campaign_seed = get_u64(obj, "campaign_seed");
-      out.header.config_fingerprint = get_u64(obj, "config_fingerprint");
-      out.header.scenario_count = get_u64(obj, "scenario_count");
+      out.header.workload = fields.string("workload");
+      out.header.campaign_seed = fields.number("campaign_seed");
+      out.header.config_fingerprint = fields.number("config_fingerprint");
+      out.header.scenario_count = fields.number("scenario_count");
+      if (Status s = fields.status(where); !s.is_ok()) return s;
       have_header = true;
       continue;
     }
     ScenarioRecord r;
-    r.name = get_string(obj, "name");
-    r.seed = get_u64(obj, "seed");
-    r.outcome = get_string(obj, "outcome");
-    r.cycles = get_u64(obj, "cycles");
-    const json::JsonValue* halted = obj.find("halted");
-    r.halted = halted != nullptr && halted->boolean;
-    r.signature = get_u64(obj, "signature");
-    r.task = get_string(obj, "task");
-    r.injected = get_u64_array(obj, "injected");
-    r.alarms = get_u64_array(obj, "alarms");
-    r.budget_cycles = get_u64(obj, "budget_cycles");
-    r.timeout_ms = get_u64(obj, "timeout_ms");
-    r.attempts = static_cast<u32>(get_u64(obj, "attempts"));
+    r.name = fields.string("name");
+    r.seed = fields.number("seed");
+    r.outcome = fields.string("outcome");
+    r.cycles = fields.number("cycles");
+    r.halted = fields.boolean("halted");
+    r.signature = fields.number("signature");
+    r.task = fields.string("task");
+    r.injected = fields.numbers("injected");
+    r.alarms = fields.numbers("alarms");
+    r.budget_cycles = fields.number("budget_cycles");
+    r.timeout_ms = fields.number("timeout_ms");
+    r.attempts = fields.number32("attempts");
+    if (Status s = fields.status(where); !s.is_ok()) return s;
     r.line = line_no;
     out.records.push_back(std::move(r));
   }

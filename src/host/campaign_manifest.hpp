@@ -85,7 +85,9 @@ class CampaignManifest {
 
   /// Parse a manifest. A torn trailing line (the crash happened
   /// mid-write) is silently dropped; a malformed line anywhere else is
-  /// an error. Missing header = error.
+  /// an error, and so is a header or record with a field missing or of
+  /// the wrong type (the error names the line and the field). Missing
+  /// header = error.
   static Result<ManifestContents> load(const std::string& path);
 
  private:

@@ -1,7 +1,7 @@
 // Campaign resume and robustness tests: manifest journaling and crash
-// resume, seeded mutation of a journaled manifest, manifests written
-// while campaigns still carried a boot-image hash, and the per-scenario
-// robustness policy (budget / timeout / retry) plumbing.
+// resume, strict record fields, seeded mutation of a journaled manifest,
+// manifests written while campaigns still carried a boot-image hash, and
+// the per-scenario robustness policy (budget / timeout / retry) plumbing.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -10,6 +10,7 @@
 #include <string>
 #include <vector>
 
+#include "common/json.hpp"
 #include "common/prng.hpp"
 #include "helpers.hpp"
 #include "host/campaign_manifest.hpp"
@@ -232,12 +233,157 @@ TEST(CampaignManifest, UnknownOutcomeFailsTheResumeAndNamesItsLine) {
   std::remove(path.c_str());
 }
 
+// Every header and record field must be present with its type. A record
+// with a field renamed away or holding the wrong kind of value fails the
+// load, naming its line and the field, instead of loading that field as
+// 0, false or empty (a renamed "cycles" resumed as 0 cycles and changed
+// the classification hash).
+TEST(CampaignManifest, MissingOrMistypedFieldFailsTheLoadAndNamesIt) {
+  const std::string path = ::testing::TempDir() + "audo_manifest_fields.jsonl";
+  {
+    host::CampaignManifest m;
+    ASSERT_TRUE(m.create(path, big_header()).is_ok());
+    ASSERT_TRUE(m.append(record("rand-0", 1)).is_ok());
+  }
+  const std::string journaled = read_file(path);
+  ASSERT_TRUE(host::CampaignManifest::load(path).is_ok());
+  const usize record_at = journaled.find('\n') + 1;
+
+  struct Field {
+    const char* key;
+    const char* type;
+    std::vector<const char*> wrong;  // mistyped values
+  };
+  const std::vector<Field> record_fields = {
+      {"name", "a string", {"1", "null"}},
+      {"seed", "an unsigned integer", {"\"1\"", "-1", "1.5", "1e3", "true"}},
+      {"outcome", "a string", {"[]"}},
+      {"cycles", "an unsigned integer",
+       {"\"216108\"", "-216108", "216108.0", "18446744073709551616"}},
+      {"halted", "true or false", {"1", "\"true\"", "null"}},
+      {"signature", "an unsigned integer", {"{}", "2e19"}},
+      {"task", "a string", {"0"}},
+      {"injected", "an array of unsigned integers", {"1", "[1,-1]", "[\"1\"]"}},
+      {"alarms", "an array of unsigned integers", {"{}", "[0.5]"}},
+      {"budget_cycles", "an unsigned integer", {"false"}},
+      {"timeout_ms", "an unsigned integer", {"[250]"}},
+      {"attempts", "an unsigned integer", {"\"2\""}},
+  };
+  const std::vector<Field> header_fields = {
+      {"workload", "a string", {"7"}},
+      {"campaign_seed", "an unsigned integer", {"-5"}},
+      {"config_fingerprint", "an unsigned integer", {"\"9\""}},
+      {"scenario_count", "an unsigned integer", {"2.0"}},
+  };
+  // The value of `key` starts after `"key":` and ends at the next
+  // top-level ',' or '}' (arrays are skipped whole).
+  const auto value_span = [](const std::string& text, usize from,
+                             const std::string& key) {
+    const usize at = text.find("\"" + key + "\":", from);
+    const usize begin = at + key.size() + 3;
+    usize end = begin;
+    if (text[begin] == '[') {
+      end = text.find(']', begin) + 1;
+    } else if (text[begin] == '"') {
+      end = text.find('"', begin + 1) + 1;
+    } else {
+      end = text.find_first_of(",}", begin);
+    }
+    return std::make_pair(at, std::make_pair(begin, end));
+  };
+  const auto expect_refused = [&](const std::string& mutant, usize line,
+                                  const std::string& key, const char* type) {
+    write_file(path, mutant);
+    auto loaded = host::CampaignManifest::load(path);
+    ASSERT_FALSE(loaded.is_ok()) << mutant;
+    EXPECT_EQ(loaded.status().message(),
+              path + ":" + std::to_string(line) + ": field \"" + key +
+                  "\" is missing or not " + type);
+  };
+  for (const bool header : {true, false}) {
+    const usize from = header ? 0 : record_at;
+    const usize line = header ? 1 : 2;
+    for (const Field& field : header ? header_fields : record_fields) {
+      SCOPED_TRACE(field.key);
+      const auto [at, span] = value_span(journaled, from, field.key);
+      ASSERT_NE(at, std::string::npos);
+      ASSERT_LT(at, header ? record_at : journaled.size());
+      // Renamed away: "cycles" -> "cyclez".
+      std::string renamed = journaled;
+      renamed[at + std::string(field.key).size()] = 'z';
+      expect_refused(renamed, line, field.key, field.type);
+      for (const char* wrong : field.wrong) {
+        SCOPED_TRACE(wrong);
+        std::string mistyped = journaled;
+        mistyped.replace(span.first, span.second - span.first, wrong);
+        expect_refused(mistyped, line, field.key, field.type);
+      }
+    }
+  }
+  // A count too large for its 32-bit field is refused too.
+  const auto [at, span] = value_span(journaled, record_at, "attempts");
+  std::string wide = journaled;
+  wide.replace(span.first, span.second - span.first, "4294967296");
+  expect_refused(wide, 2, "attempts", "a 32-bit unsigned integer");
+  std::remove(path.c_str());
+}
+
+// The first field of `rec` that differs from what its manifest line
+// `text` names, or "" when every field loaded as written.
+std::string field_not_as_written(const host::ScenarioRecord& rec,
+                                 std::string_view text) {
+  auto parsed = json::json_parse(text);
+  if (!parsed.is_ok()) return "line does not parse";
+  const json::JsonValue& obj = parsed.value();
+  const auto exact = [](const json::JsonValue* v, u64 want) {
+    return v != nullptr && v->is_number() && !v->number_literal.empty() &&
+           v->number_literal.find_first_not_of("0123456789") ==
+               std::string::npos &&
+           v->as_u64() == want;
+  };
+  const auto string_is = [&](const char* key, const std::string& want) {
+    const json::JsonValue* v = obj.find(key);
+    return v != nullptr && v->is_string() && v->string == want;
+  };
+  const auto array_is = [&](const char* key, const std::vector<u64>& want) {
+    const json::JsonValue* v = obj.find(key);
+    if (v == nullptr || !v->is_array() || v->array.size() != want.size()) {
+      return false;
+    }
+    for (usize i = 0; i < want.size(); ++i) {
+      if (!exact(&v->array[i], want[i])) return false;
+    }
+    return true;
+  };
+  const json::JsonValue* halted = obj.find("halted");
+  if (!string_is("name", rec.name)) return "name";
+  if (!exact(obj.find("seed"), rec.seed)) return "seed";
+  if (!string_is("outcome", rec.outcome)) return "outcome";
+  if (!exact(obj.find("cycles"), rec.cycles)) return "cycles";
+  if (halted == nullptr || halted->kind != json::JsonValue::Kind::kBool ||
+      halted->boolean != rec.halted) {
+    return "halted";
+  }
+  if (!exact(obj.find("signature"), rec.signature)) return "signature";
+  if (!string_is("task", rec.task)) return "task";
+  if (!array_is("injected", rec.injected)) return "injected";
+  if (!array_is("alarms", rec.alarms)) return "alarms";
+  if (!exact(obj.find("budget_cycles"), rec.budget_cycles)) {
+    return "budget_cycles";
+  }
+  if (!exact(obj.find("timeout_ms"), rec.timeout_ms)) return "timeout_ms";
+  if (!exact(obj.find("attempts"), rec.attempts)) return "attempts";
+  return "";
+}
+
 // Seeded byte-level mutants of a journaled manifest: bit flips, byte
 // overwrites and truncations, a third of the edits aimed inside outcome
+// values and a third inside the numeric and boolean fields, keys and
 // values. Each mutant loads or fails with a status; every record that
-// loads either converts to exactly the outcome its text names or fails
-// with an error that names its line, and the resume accepts the records
-// exactly when all of them convert.
+// loads holds exactly the values its line names, and either converts to
+// exactly the outcome its text names or fails with an error that names
+// its line, and the resume accepts the records exactly when all of them
+// convert.
 TEST(CampaignManifest, SeededMutantsLoadOrFailButNeverReclassify) {
   const std::string journaled =
       read_file(std::string(AUDO_TESTDATA_DIR) + "/warm_fork_manifest.jsonl");
@@ -251,6 +397,23 @@ TEST(CampaignManifest, SeededMutantsLoadOrFailButNeverReclassify) {
     }
   }
   ASSERT_GE(outcome_bytes.size(), 30u);
+  // Offsets inside the records' numeric and boolean fields, from the
+  // first byte of the key to the last of the value.
+  std::vector<usize> number_bytes;
+  for (const char* name : {"seed", "cycles", "halted", "signature", "injected",
+                           "alarms", "budget_cycles", "timeout_ms",
+                           "attempts"}) {
+    const std::string field = std::string("\"") + name + "\":";
+    for (usize at = journaled.find(field); at != std::string::npos;
+         at = journaled.find(field, at + 1)) {
+      const usize value = at + field.size();
+      const usize end = journaled[value] == '['
+                            ? journaled.find(']', value) + 1
+                            : journaled.find_first_of(",}", value);
+      for (usize b = at + 1; b < end; ++b) number_bytes.push_back(b);
+    }
+  }
+  ASSERT_GE(number_bytes.size(), 300u);
 
   const workload::EngineWorkload w = idle_engine(2);
   optimize::FaultCampaign campaign(soc::SocConfig{}, engine_case(w));
@@ -259,14 +422,17 @@ TEST(CampaignManifest, SeededMutantsLoadOrFailButNeverReclassify) {
   Prng rng(0x3A21'F0CA);
   unsigned loaded_count = 0;
   unsigned unknown_outcomes = 0;
+  unsigned field_refusals = 0;
   for (unsigned m = 0; m < kMutants; ++m) {
     SCOPED_TRACE("mutant " + std::to_string(m));
     std::string mutant = journaled;
     const u64 edits = 1 + rng.next_below(3);
     for (u64 e = 0; e < edits; ++e) {
-      const usize at = rng.next_below(3) == 0
-                           ? outcome_bytes[rng.next_below(outcome_bytes.size())]
-                           : rng.next_below(mutant.size());
+      const u64 aim = rng.next_below(3);
+      const usize at =
+          aim == 0   ? outcome_bytes[rng.next_below(outcome_bytes.size())]
+          : aim == 1 ? number_bytes[rng.next_below(number_bytes.size())]
+                     : rng.next_below(mutant.size());
       if (rng.next_below(2) == 0) {
         mutant[at] = static_cast<char>(mutant[at] ^ (1u << rng.next_below(8)));
       } else {
@@ -279,12 +445,24 @@ TEST(CampaignManifest, SeededMutantsLoadOrFailButNeverReclassify) {
     auto loaded = host::CampaignManifest::load(path);
     if (!loaded.is_ok()) {
       EXPECT_FALSE(loaded.status().message().empty());
+      if (loaded.status().message().find(": field \"") != std::string::npos) {
+        ++field_refusals;
+      }
       continue;
     }
     ++loaded_count;
+    std::vector<std::string_view> lines;
+    for (usize begin = 0; begin < mutant.size();) {
+      const usize end = std::min(mutant.find('\n', begin), mutant.size());
+      lines.push_back(std::string_view(mutant).substr(begin, end - begin));
+      begin = end + 1;
+    }
     const std::vector<host::ScenarioRecord>& records = loaded.value().records;
     bool all_convert = true;
     for (const host::ScenarioRecord& rec : records) {
+      ASSERT_LE(rec.line, lines.size());
+      EXPECT_EQ(field_not_as_written(rec, lines[rec.line - 1]), "")
+          << "line " << rec.line << " loaded a value its text does not name";
       const auto converted = optimize::from_manifest_record(rec);
       if (converted.is_ok()) {
         EXPECT_EQ(optimize::to_string(converted.value().outcome), rec.outcome)
@@ -304,6 +482,7 @@ TEST(CampaignManifest, SeededMutantsLoadOrFailButNeverReclassify) {
   EXPECT_GT(loaded_count, 0u);
   EXPECT_LT(loaded_count, kMutants);
   EXPECT_GT(unknown_outcomes, 0u);
+  EXPECT_GT(field_refusals, 0u);
   std::remove(path.c_str());
 }
 
