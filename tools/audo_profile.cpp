@@ -555,8 +555,16 @@ int main(int argc, char** argv) {
   if (record_path != nullptr) {
     recorder.finish();
     replay::ReplaySpec spec;
-    spec.name = engine ? "engine" : "transmission";
-    spec.scenario.kind = spec.name;
+    // The name says which golden ran: the workload, the tier and the
+    // session's trace flags.
+    spec.scenario.kind = engine ? "engine" : "transmission";
+    spec.name = spec.scenario.kind + "-" +
+                (soc.config().exec_tier == soc::SocConfig::ExecTier::kSuperblock
+                     ? "superblock"
+                     : "accurate");
+    if (options.program_trace) spec.name += "-flow";
+    if (options.irq_trace) spec.name += "-irq";
+    if (options.dag) spec.name += "-dag";
     spec.scenario.run_cycles = cycles;
     spec.scenario.engine = engine_options;
     spec.scenario.transmission = transmission_options;
