@@ -532,8 +532,9 @@ TEST(ReplayCampaign, AttributionDriftNamesTheScenarioAndBothTasks) {
 }
 
 // audo-replay's verdict line and the divergence JSON name a golden by its
-// `name` alone, so no two committed campaign goldens may share one.
-TEST(ReplayCampaign, CommittedCampaignGoldensHaveDistinctNames) {
+// `name` alone, so no two committed goldens, campaign or session, may
+// share one.
+TEST(ReplaySchema, CommittedGoldensHaveDistinctNames) {
   std::vector<std::filesystem::path> goldens;
   for (const auto& entry :
        std::filesystem::directory_iterator(AUDO_REPLAYS_DIR)) {
@@ -544,13 +545,13 @@ TEST(ReplayCampaign, CommittedCampaignGoldensHaveDistinctNames) {
   for (const auto& path : goldens) {
     auto spec = replay::ReplaySpec::from_file(path.string());
     ASSERT_TRUE(spec.is_ok()) << path << ": " << spec.status().to_string();
-    if (!spec.value().campaign.enabled) continue;
     const std::string file = path.filename().string();
     const auto [it, fresh] = file_of.emplace(spec.value().name, file);
     EXPECT_TRUE(fresh) << file << " and " << it->second << " are both named '"
                        << spec.value().name << "'";
   }
-  EXPECT_GE(file_of.size(), 2u);
+  EXPECT_EQ(file_of.size(), goldens.size());
+  EXPECT_GE(file_of.size(), 6u);
 }
 
 // ---- divergence report JSON -------------------------------------------
