@@ -1,6 +1,6 @@
 // Trace codec tests: bit-exact round trips for every message kind,
-// anchor/delta compression, context resets, and a randomized
-// property-style stream round trip.
+// anchor/delta compression, context resets, a randomized property-style
+// stream round trip, and seeded mutants of a session's EMEM stream.
 #include <gtest/gtest.h>
 
 #include <string_view>
@@ -8,6 +8,8 @@
 #include "common/bits.hpp"
 #include "common/prng.hpp"
 #include "mcds/trace.hpp"
+#include "profiling/session.hpp"
+#include "workload/transmission.hpp"
 
 namespace audo::mcds {
 namespace {
@@ -470,6 +472,87 @@ TEST(TraceCodec, DecodeAfterLostAnchorResyncs) {
   EXPECT_EQ(decoded.value()[2].pc, 0x80002040u);
   EXPECT_EQ(decoded.value()[2].cycle, 515u);
   EXPECT_EQ(decoded.value()[2].instr_count, 9u);
+}
+
+// ---- seeded mutants of a session's EMEM stream -------------------------
+//
+// A transmission session's downloaded units (flow, IRQ, sync and rate
+// messages) are mutated the ways a corrupted EMEM dump or DAP download
+// can be: bit flips, byte overwrites, truncated or extended units, and
+// dropped or duplicated units. Every mutant decodes or fails with a
+// kDecodeError status; none may crash or fail another way (the test runs
+// under the sanitizers too).
+TEST(TraceCodec, SeededMutantsOfASessionStreamDecodeOrFailWithAStatus) {
+  auto built = workload::build_transmission_workload({});
+  ASSERT_TRUE(built.is_ok()) << built.status().to_string();
+  const workload::TransmissionWorkload w = std::move(built).value();
+  profiling::SessionOptions options;
+  options.program_trace = true;
+  options.irq_trace = true;
+  profiling::ProfilingSession session(soc::SocConfig{}, options);
+  ASSERT_TRUE(session.load(w.program).is_ok());
+  workload::configure_transmission(session.device().soc(), w.options);
+  session.reset(w.tc_entry);
+  ASSERT_TRUE(session.device().download_trace().is_ok());  // nothing yet
+  session.device().run(60'000);
+  ASSERT_TRUE(session.device().download_trace().is_ok());
+  const std::vector<EncodedMessage> stream =
+      session.device().emem().host_units();
+  ASSERT_GT(stream.size(), 1000u);
+
+  constexpr unsigned kMutants = 360;
+  Prng rng(0x7EAC'E0DE);
+  unsigned decoded = 0;
+  unsigned refused = 0;
+  for (unsigned m = 0; m < kMutants; ++m) {
+    SCOPED_TRACE("mutant " + std::to_string(m));
+    std::vector<EncodedMessage> units = stream;
+    const u64 edits = 1 + rng.next_below(3);
+    for (u64 e = 0; e < edits && !units.empty(); ++e) {
+      const usize u = rng.next_below(units.size());
+      std::vector<u8>& bytes = units[u].bytes;
+      switch (m % 6) {
+        case 0:  // bit flip
+          if (!bytes.empty()) {
+            bytes[rng.next_below(bytes.size())] ^=
+                static_cast<u8>(1u << rng.next_below(8));
+          }
+          break;
+        case 1:  // byte overwrite
+          if (!bytes.empty()) {
+            bytes[rng.next_below(bytes.size())] =
+                static_cast<u8>(rng.next_below(256));
+          }
+          break;
+        case 2:  // truncated unit
+          bytes.resize(rng.next_below(bytes.size() + 1));
+          break;
+        case 3:  // extended unit
+          for (u64 k = 1 + rng.next_below(4); k > 0; --k) {
+            bytes.push_back(static_cast<u8>(rng.next_below(256)));
+          }
+          break;
+        case 4:  // dropped unit
+          units.erase(units.begin() + static_cast<std::ptrdiff_t>(u));
+          break;
+        case 5:  // duplicated unit
+          units.insert(units.begin() + static_cast<std::ptrdiff_t>(u),
+                       units[u]);
+          break;
+      }
+    }
+    const auto result = TraceDecoder::decode(units);
+    if (result.is_ok()) {
+      ++decoded;
+    } else {
+      ++refused;
+      EXPECT_EQ(result.status().code(), StatusCode::kDecodeError)
+          << result.status().to_string();
+    }
+  }
+  // Both outcomes occur: the mutants reach the decoder's error paths.
+  EXPECT_GT(decoded, 0u);
+  EXPECT_GT(refused, 0u);
 }
 
 }  // namespace
