@@ -36,7 +36,11 @@ namespace {
 
 constexpr unsigned idx(EventId id) { return static_cast<unsigned>(id); }
 
-// Stall-root strobes follow StallRootCause's order from kFrontend to kWfi.
+// Stall strobes follow their cause's order: the symptoms from kIFetch to
+// kLoadUse, the root causes from kFrontend to kWfi.
+static_assert(idx(EventId::kTcStallLoadUse) - idx(EventId::kTcStallIFetch) ==
+              static_cast<unsigned>(StallCause::kLoadUse) -
+                  static_cast<unsigned>(StallCause::kIFetch));
 static_assert(idx(EventId::kTcStallRootWfi) - idx(EventId::kTcStallRootFrontend) ==
               static_cast<unsigned>(StallRootCause::kWfi) -
                   static_cast<unsigned>(StallRootCause::kFrontend));
@@ -55,33 +59,40 @@ void accumulate_events(EventTotals& totals, const ObservationFrame& f, u32 n) {
   const CoreObservation& tc = f.tc;
   const CoreObservation& pcp = f.pcp;
 
-  // Every cycle: the clock and the cores' retire, stall and fetch
-  // strobes, added branch-free.
+  // Every cycle: the clock and the TC's retire, stall and fetch strobes,
+  // added branch-free, and the parked cores.
   t[idx(EventId::kCycles)] += n;
   t[idx(EventId::kTcRetired)] += n * tc.retired;
   t[idx(EventId::kTcStalled)] +=
       n * (tc.present && tc.retired == 0 && tc.stall != StallCause::kHalted);
-  t[idx(EventId::kTcStallIFetch)] += n * (tc.stall == StallCause::kIFetch);
-  t[idx(EventId::kTcStallLoadUse)] += n * (tc.stall == StallCause::kLoadUse);
   t[idx(EventId::kTcICacheAccess)] += n * tc.icache_access;
   t[idx(EventId::kTcICacheHit)] += n * tc.icache_hit;
   t[idx(EventId::kTcICacheMiss)] += n * tc.icache_miss;
   t[idx(EventId::kTcDiscontinuity)] += n * tc.discontinuity;
+  t[idx(EventId::kDagIdle)] += n * (parked(tc) + parked(pcp));
+
+  // One strobe each: the TC's stall symptom and its root cause.
+  if (tc.stall == StallCause::kIFetch || tc.stall == StallCause::kLoadUse) {
+    t[idx(EventId::kTcStallIFetch) + static_cast<unsigned>(tc.stall) -
+      static_cast<unsigned>(StallCause::kIFetch)] += n;
+  }
   const StallRootCause root = tc.attr.root;
   if (tc.present && root >= StallRootCause::kFrontend &&
       root <= StallRootCause::kWfi) {
     t[idx(EventId::kTcStallRootFrontend) + static_cast<unsigned>(root) -
       static_cast<unsigned>(StallRootCause::kFrontend)] += n;
   }
-  t[idx(EventId::kPcpRetired)] += n * pcp.retired;
-  t[idx(EventId::kPcpStalled)] +=
-      n * (pcp.present && pcp.retired == 0 &&
-           pcp.stall != StallCause::kHalted && pcp.stall != StallCause::kWfi);
-  t[idx(EventId::kPcpDataAccess)] += n * pcp.data_access;
-  t[idx(EventId::kDagIrqRaise)] += n * f.irq.count;
-  t[idx(EventId::kDagIdle)] += n * (parked(tc) + parked(pcp));
 
-  // Sections an uneventful cycle leaves empty: the TC's data side, ...
+  // Sections an uneventful cycle leaves empty: the PCP's activity, the
+  // TC's data side, ...
+  const bool pcp_stalled = pcp.present && pcp.retired == 0 &&
+                           pcp.stall != StallCause::kHalted &&
+                           pcp.stall != StallCause::kWfi;
+  if ((pcp.retired != 0) | pcp.data_access | pcp_stalled) {
+    t[idx(EventId::kPcpRetired)] += n * pcp.retired;
+    t[idx(EventId::kPcpStalled)] += n * pcp_stalled;
+    t[idx(EventId::kPcpDataAccess)] += n * pcp.data_access;
+  }
   if (tc.dcache_access | tc.dcache_hit | tc.dcache_miss | tc.data_access |
       tc.dspr_access | tc.flash_data_access | tc.sram_data_access |
       tc.periph_data_access) {
@@ -95,8 +106,8 @@ void accumulate_events(EventTotals& totals, const ObservationFrame& f, u32 n) {
     t[idx(EventId::kTcSramDataAccess)] += n * tc.sram_data_access;
     t[idx(EventId::kTcPeriphDataAccess)] += n * tc.periph_data_access;
   }
-  // ... the flash and fabric strobes, DMA, safety alarms, and handler
-  // entry and exit.
+  // ... the flash and fabric strobes, DMA, safety alarms, handler entry
+  // and exit, and service-request raises.
   const mem::PFlash::Strobes& flash = f.flash;
   if (flash.code_access | flash.code_buffer_hit | flash.data_access |
       flash.data_buffer_hit | flash.array_conflict) {
@@ -133,6 +144,7 @@ void accumulate_events(EventTotals& totals, const ObservationFrame& f, u32 n) {
         n * ((tc.irq_entry || tc.trap_entry) + (pcp.irq_entry || pcp.trap_entry));
     t[idx(EventId::kDagIsrExit)] += n * (tc.irq_exit + pcp.irq_exit);
   }
+  if (f.irq.count != 0) t[idx(EventId::kDagIrqRaise)] += n * f.irq.count;
 }
 
 EventValues::EventValues(const ObservationFrame& frame) {
