@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "common/bits.hpp"
+#include "common/fields.hpp"
 #include "common/types.hpp"
 
 namespace audo::telemetry {
@@ -41,6 +42,16 @@ struct CacheConfig {
             audo::is_pow2(num_sets()));
   }
 };
+
+/// The persisted fields, in order (common/fields.hpp).
+template <FieldsOf<CacheConfig> Self, typename V>
+void visit_fields(Self& c, V& v) {
+  v("enabled", c.enabled);
+  v("size_bytes", c.size_bytes);
+  v("ways", c.ways);
+  v("line_bytes", c.line_bytes);
+  v("replacement", c.replacement, Replacement::kRoundRobin);
+}
 
 struct CacheStats {
   u64 accesses = 0;

@@ -9,7 +9,7 @@
 // without pulling in the monitor machinery.
 #pragma once
 
-#include "common/bits.hpp"
+#include "common/fields.hpp"
 #include "common/types.hpp"
 
 namespace audo::fault {
@@ -60,14 +60,15 @@ struct SafetyConfig {
   Reaction reaction(AlarmKind kind) const {
     return reactions[static_cast<unsigned>(kind)];
   }
-
-  u64 fingerprint(u64 h) const {
-    h = fnv1a(h, u64{monitor_enabled});
-    h = fnv1a(h, u64{ecc_pflash});
-    h = fnv1a(h, u64{ecc_sram});
-    for (const Reaction r : reactions) h = fnv1a(h, static_cast<u64>(r));
-    return h;
-  }
 };
+
+/// The persisted fields, in order (common/fields.hpp).
+template <FieldsOf<SafetyConfig> Self, typename V>
+void visit_fields(Self& c, V& v) {
+  v("monitor_enabled", c.monitor_enabled);
+  v("ecc_pflash", c.ecc_pflash);
+  v("ecc_sram", c.ecc_sram);
+  v("reactions", c.reactions, Reaction::kHaltCore);
+}
 
 }  // namespace audo::fault

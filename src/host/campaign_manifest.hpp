@@ -19,6 +19,7 @@
 #include <string>
 #include <vector>
 
+#include "common/fields.hpp"
 #include "common/status.hpp"
 #include "common/types.hpp"
 
@@ -54,6 +55,33 @@ struct ScenarioRecord {
   /// Manifest line the record was loaded from (0 when not loaded).
   usize line = 0;
 };
+
+/// The journaled fields, in order (common/fields.hpp). The header line
+/// starts with the manifest's kind and version, then these.
+template <FieldsOf<CampaignHeader> Self, typename V>
+void visit_fields(Self& h, V& v) {
+  v("workload", h.workload);
+  v("campaign_seed", h.campaign_seed);
+  v("config_fingerprint", h.config_fingerprint);
+  v("scenario_count", h.scenario_count);
+}
+
+/// The journaled fields, in order; `line` is not journaled.
+template <FieldsOf<ScenarioRecord> Self, typename V>
+void visit_fields(Self& r, V& v) {
+  v("name", r.name);
+  v("seed", r.seed);
+  v("outcome", r.outcome);
+  v("cycles", r.cycles);
+  v("halted", r.halted);
+  v("signature", r.signature);
+  v("task", r.task);
+  v("injected", r.injected);
+  v("alarms", r.alarms);
+  v("budget_cycles", r.budget_cycles);
+  v("timeout_ms", r.timeout_ms);
+  v("attempts", r.attempts);
+}
 
 /// Everything recoverable from a manifest file.
 struct ManifestContents {

@@ -9,6 +9,7 @@
 #include <string>
 
 #include "bus/port.hpp"
+#include "common/fields.hpp"
 #include "common/types.hpp"
 #include "mem/mem_array.hpp"
 #include "telemetry/metrics.hpp"
@@ -20,6 +21,14 @@ struct DFlashConfig {
   unsigned read_latency = 6;
   unsigned write_latency = 60;  // word-program time, scaled to cycles
 };
+
+/// The persisted fields, in order (common/fields.hpp).
+template <FieldsOf<DFlashConfig> Self, typename V>
+void visit_fields(Self& c, V& v) {
+  v("size", c.size);
+  v("read_latency", c.read_latency);
+  v("write_latency", c.write_latency);
+}
 
 class DFlashSlave final : public bus::BusSlave {
  public:

@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "bus/port.hpp"
+#include "common/fields.hpp"
 #include "common/types.hpp"
 #include "mem/mem_array.hpp"
 
@@ -36,6 +37,17 @@ struct PFlashConfig {
   unsigned data_buffers = 1;     // read buffers on the data port
   bool sequential_prefetch = true;
 };
+
+/// The persisted fields, in order (common/fields.hpp).
+template <FieldsOf<PFlashConfig> Self, typename V>
+void visit_fields(Self& c, V& v) {
+  v("size", c.size);
+  v("wait_states", c.wait_states);
+  v("line_bytes", c.line_bytes);
+  v("code_buffers", c.code_buffers);
+  v("data_buffers", c.data_buffers);
+  v("sequential_prefetch", c.sequential_prefetch);
+}
 
 class PFlash {
  public:

@@ -21,6 +21,7 @@
 #include <vector>
 
 #include "common/bits.hpp"
+#include "common/fields.hpp"
 #include "mcds/observation.hpp"
 #include "soc/soc.hpp"
 
@@ -71,6 +72,9 @@ class WindowedFrameDigest final : public FrameObserver {
   /// 32768-cycle windows: fine enough to localize a divergence, coarse
   /// enough that golden files stay small.
   static constexpr u32 kDefaultWindowBits = 15;
+  /// Windows are cycle >> window_bits of a u64 cycle count, and a shift
+  /// of 64 or more is undefined.
+  static constexpr u32 kMaxWindowBits = 63;
 
   struct Window {
     u64 index = 0;        // cycle range [index << bits, (index+1) << bits)
@@ -130,5 +134,14 @@ class WindowedFrameDigest final : public FrameObserver {
 
   std::vector<Window> windows_;
 };
+
+/// The persisted fields, in order (common/fields.hpp).
+template <FieldsOf<WindowedFrameDigest::Window> Self, typename V>
+void visit_fields(Self& w, V& v) {
+  v("index", w.index);
+  v("frames", w.frames);
+  v("digest", w.digest);
+  v("components", w.components);
+}
 
 }  // namespace audo::soc

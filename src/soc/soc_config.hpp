@@ -5,11 +5,14 @@
 // option catalogue and the area-cost model attached to these knobs.
 #pragma once
 
+#include <array>
 #include <string>
+#include <type_traits>
 
 #include "bus/crossbar.hpp"
 #include "cache/cache.hpp"
 #include "common/bits.hpp"
+#include "common/fields.hpp"
 #include "common/types.hpp"
 #include "fault/safety.hpp"
 #include "mem/dflash.hpp"
@@ -75,52 +78,80 @@ struct SocConfig {
   enum class ExecTier : u8 { kAccurate, kSuperblock };
   ExecTier exec_tier = ExecTier::kSuperblock;
 
+  /// JSON names of the tiers, indexed by ExecTier.
+  static constexpr std::array<const char*, 2> kExecTierNames = {
+      "accurate", "superblock"};
+
   bool valid() const {
     return icache.valid() && dcache.valid() && tc_issue_width >= 1 &&
            tc_issue_width <= 3 && pflash.size > 0;
   }
 
-  /// Stable FNV-1a hash over every architecture knob. Written into run
-  /// reports so results from different configurations never get compared
-  /// by accident.
-  u64 fingerprint() const { return safety.fingerprint(shape_fingerprint()); }
-
-  /// Hash over the *structural* knobs only — everything fingerprint()
-  /// covers except the safety model, which fingerprint() folds in.
-  u64 shape_fingerprint() const {
-    u64 h = fnv1a(kFnvOffset, name);
-    h = fnv1a(h, clock_hz);
-    h = fnv1a(h, pflash.size);
-    h = fnv1a(h, u64{pflash.wait_states});
-    h = fnv1a(h, u64{pflash.line_bytes});
-    h = fnv1a(h, u64{pflash.code_buffers});
-    h = fnv1a(h, u64{pflash.data_buffers});
-    h = fnv1a(h, u64{pflash.sequential_prefetch});
-    h = fnv1a(h, dflash.size);
-    h = fnv1a(h, u64{dflash.read_latency});
-    h = fnv1a(h, u64{dflash.write_latency});
-    const auto mix_cache = [&h](const cache::CacheConfig& c) {
-      h = fnv1a(h, u64{c.enabled});
-      h = fnv1a(h, u64{c.size_bytes});
-      h = fnv1a(h, u64{c.ways});
-      h = fnv1a(h, u64{c.line_bytes});
-      h = fnv1a(h, static_cast<u64>(c.replacement));
-    };
-    mix_cache(icache);
-    mix_cache(dcache);
-    h = fnv1a(h, u64{dspr_bytes});
-    h = fnv1a(h, u64{pspr_bytes});
-    h = fnv1a(h, u64{lmu_bytes});
-    h = fnv1a(h, u64{lmu_latency});
-    h = fnv1a(h, u64{has_pcp});
-    h = fnv1a(h, u64{pcp_pram_bytes});
-    h = fnv1a(h, u64{pcp_dram_bytes});
-    h = fnv1a(h, u64{tc_issue_width});
-    h = fnv1a(h, u64{dma_channels});
-    h = fnv1a(h, static_cast<u64>(arbitration));
-    h = fnv1a(h, u64{spr_slave_latency});
-    return h;
-  }
+  /// Stable FNV-1a hash over every architecture knob, in visit_fields
+  /// order. Written into run reports so results from different
+  /// configurations never get compared by accident.
+  u64 fingerprint() const;
 };
+
+/// The persisted fields, in order (common/fields.hpp).
+template <FieldsOf<SocConfig> Self, typename V>
+void visit_fields(Self& c, V& v) {
+  v("name", c.name);
+  v("clock_hz", c.clock_hz);
+  v("pflash", c.pflash);
+  v("dflash", c.dflash);
+  v("icache", c.icache);
+  v("dcache", c.dcache);
+  v("dspr_bytes", c.dspr_bytes);
+  v("pspr_bytes", c.pspr_bytes);
+  v("lmu_bytes", c.lmu_bytes);
+  v("lmu_latency", c.lmu_latency);
+  v("has_pcp", c.has_pcp);
+  v("pcp_pram_bytes", c.pcp_pram_bytes);
+  v("pcp_dram_bytes", c.pcp_dram_bytes);
+  v("tc_issue_width", c.tc_issue_width);
+  v("dma_channels", c.dma_channels);
+  v("arbitration", c.arbitration, bus::ArbitrationPolicy::kRoundRobin);
+  v("spr_slave_latency", c.spr_slave_latency);
+  v("safety", c.safety);
+  v.host("fast_forward", c.fast_forward);
+  v.host("exec_tier", c.exec_tier, SocConfig::kExecTierNames);
+}
+
+namespace detail {
+
+// Folds each field a visit_fields names into an FNV-1a hash: strings by
+// their bytes, every other value widened to u64. Host knobs stay out.
+struct FingerprintFold {
+  u64 h = kFnvOffset;
+
+  void operator()(const char*, const std::string& s) { h = fnv1a(h, s); }
+  template <typename F>
+  void operator()(const char*, const F& field) {
+    if constexpr (std::is_class_v<F>) {
+      visit_fields(field, *this);
+    } else {
+      h = fnv1a(h, static_cast<u64>(field));
+    }
+  }
+  template <typename F>
+  void operator()(const char* key, const F& field, F) {
+    (*this)(key, field);
+  }
+  template <typename E, usize N>
+  void operator()(const char* key, const E (&field)[N], E) {
+    for (const E e : field) (*this)(key, e);
+  }
+  template <typename... A>
+  void host(const char*, const A&...) {}
+};
+
+}  // namespace detail
+
+inline u64 SocConfig::fingerprint() const {
+  detail::FingerprintFold fold;
+  visit_fields(*this, fold);
+  return fold.h;
+}
 
 }  // namespace audo::soc

@@ -17,6 +17,7 @@
 
 #include <string>
 
+#include "common/fields.hpp"
 #include "common/status.hpp"
 #include "isa/program.hpp"
 #include "soc/soc.hpp"
@@ -78,6 +79,37 @@ struct EngineOptions {
   u8 prio_tooth = 40;
   u8 prio_sync = 45;
 };
+
+/// The persisted fields, in order (common/fields.hpp).
+template <FieldsOf<EngineOptions> Self, typename V>
+void visit_fields(Self& o, V& v) {
+  v("pcp_offload", o.pcp_offload);
+  v("use_dma_for_adc", o.use_dma_for_adc);
+  v("table_dim", o.table_dim);
+  v("tables_in_dspr", o.tables_in_dspr);
+  v("interpolate", o.interpolate);
+  v("measure_latency", o.measure_latency);
+  v("diag_words", o.diag_words);
+  v("diag_uncached", o.diag_uncached);
+  v("diag_stride_bytes", o.diag_stride_bytes);
+  v("journal_every", o.journal_every);
+  v("can_ring_in_lmu", o.can_ring_in_lmu);
+  v("halt_after_revs", o.halt_after_revs);
+  v("halt_after_bg", o.halt_after_bg);
+  v("idle_background", o.idle_background);
+  v("rpm", o.rpm);
+  v("crank_time_scale", o.crank_time_scale);
+  v("stm_period", o.stm_period);
+  v("adc_period", o.adc_period);
+  v("can_rx_period", o.can_rx_period);
+  v("wdt_period", o.wdt_period);
+  v("prio_stm", o.prio_stm);
+  v("prio_dma_done", o.prio_dma_done);
+  v("prio_can_rx", o.prio_can_rx);
+  v("prio_adc", o.prio_adc);
+  v("prio_tooth", o.prio_tooth);
+  v("prio_sync", o.prio_sync);
+}
 
 struct EngineWorkload {
   isa::Program program;

@@ -17,6 +17,7 @@
 
 #include <string>
 
+#include "common/fields.hpp"
 #include "common/status.hpp"
 #include "isa/program.hpp"
 #include "soc/soc.hpp"
@@ -39,6 +40,24 @@ struct TransmissionOptions {
   u8 prio_pulse = 35;  // turbine pulse
   u8 prio_sync = 38;
 };
+
+/// The persisted fields, in order (common/fields.hpp).
+template <FieldsOf<TransmissionOptions> Self, typename V>
+void visit_fields(Self& o, V& v) {
+  v("map_dim", o.map_dim);
+  v("rpm", o.rpm);
+  v("time_scale", o.time_scale);
+  v("stm_period", o.stm_period);
+  v("can_rx_period", o.can_rx_period);
+  v("adc_period", o.adc_period);
+  v("wdt_period", o.wdt_period);
+  v("halt_after_tasks", o.halt_after_tasks);
+  v("prio_stm", o.prio_stm);
+  v("prio_can_rx", o.prio_can_rx);
+  v("prio_adc", o.prio_adc);
+  v("prio_pulse", o.prio_pulse);
+  v("prio_sync", o.prio_sync);
+}
 
 struct TransmissionWorkload {
   isa::Program program;

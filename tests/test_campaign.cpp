@@ -336,10 +336,7 @@ std::string field_not_as_written(const host::ScenarioRecord& rec,
   if (!parsed.is_ok()) return "line does not parse";
   const json::JsonValue& obj = parsed.value();
   const auto exact = [](const json::JsonValue* v, u64 want) {
-    return v != nullptr && v->is_number() && !v->number_literal.empty() &&
-           v->number_literal.find_first_not_of("0123456789") ==
-               std::string::npos &&
-           v->as_u64() == want;
+    return v != nullptr && v->as_u64() == want;
   };
   const auto string_is = [&](const char* key, const std::string& want) {
     const json::JsonValue* v = obj.find(key);
