@@ -202,22 +202,9 @@ class BenchTelemetry {
       report_.config_fingerprint = soc_->config().fingerprint();
       report_.seed = args_.seed;
       report_.jobs = args_.jobs;
-      report_.cycles = end;
-      report_.instructions = soc_->tc().retired();
-      report_.sim_ipc = end > 0 ? static_cast<double>(report_.instructions) /
-                                      static_cast<double>(end)
-                                : 0.0;
       report_.metrics = registry_.collect(end);
       report_.set_host(profiler_);
-      report_.fast_forward_enabled = soc_->config().fast_forward;
-      const soc::FastForwardStats& ff = soc_->ff_stats();
-      report_.ff_skipped_cycles = ff.skipped_cycles;
-      report_.ff_wakeups = ff.wakeups;
-      for (unsigned s = 0; s < soc::kNumWakeSources; ++s) {
-        if (ff.wake_counts[s] == 0) continue;
-        report_.add_wake_source(soc::to_string(static_cast<soc::WakeSource>(s)),
-                                ff.wake_counts[s]);
-      }
+      soc_->fill_run_report(report_);
       if (Status s = report_.write(args_.report_path); s.is_ok()) {
         std::printf("run report: %s (%zu metrics, %zu components, "
                     "%.0f sim cycles/s)\n",

@@ -522,11 +522,24 @@ void Soc::register_metrics(telemetry::MetricsRegistry& registry) const {
   }
 }
 
-void Soc::fill_exec_tier_report(telemetry::RunReport& report) const {
+void Soc::fill_run_report(telemetry::RunReport& report) const {
+  report.cycles = cycle_;
+  report.instructions = tc_->retired();
+  report.sim_ipc = cycle_ > 0 ? static_cast<double>(report.instructions) /
+                                    static_cast<double>(cycle_)
+                              : 0.0;
+  report.fast_forward_enabled = config_.fast_forward;
+  report.ff_skipped_cycles = ff_stats_.skipped_cycles;
+  report.ff_wakeups = ff_stats_.wakeups;
+  report.ff_wake_sources.clear();
+  for (unsigned s = 0; s < kNumWakeSources; ++s) {
+    if (ff_stats_.wake_counts[s] == 0) continue;
+    report.add_wake_source(to_string(static_cast<WakeSource>(s)),
+                           ff_stats_.wake_counts[s]);
+  }
+
   telemetry::RunReport::ExecTierBlock& block = report.exec_tier;
-  block.tier = config_.exec_tier == SocConfig::ExecTier::kSuperblock
-                   ? "superblock"
-                   : "accurate";
+  block.tier = SocConfig::kExecTierNames[static_cast<usize>(config_.exec_tier)];
   block.windows = exec_stats_.windows;
   block.fast_cycles = exec_stats_.fast_cycles;
   const u64 accounted = exec_stats_.fast_cycles + ff_stats_.skipped_cycles;
@@ -546,6 +559,32 @@ void Soc::fill_exec_tier_report(telemetry::RunReport& report) const {
   }
   std::stable_sort(block.declines.begin(), block.declines.end(),
                    [](const auto& a, const auto& b) { return a.second > b.second; });
+
+  report.stall_attribution.clear();
+  const auto add_stall_block = [&report](const char* core,
+                                         const StallTotals& totals) {
+    for (unsigned r = 0; r < mcds::kNumStallRootCauses; ++r) {
+      report.add_stall_bucket(
+          core, mcds::to_string(static_cast<mcds::StallRootCause>(r)),
+          totals.cycles[r]);
+    }
+  };
+  add_stall_block("tc", tc_stall_totals_);
+  if (pcp_ != nullptr) add_stall_block("pcp", pcp_stall_totals_);
+  report.interference_matrix.clear();
+  for (unsigned s = 0; s < sri_.slave_count(); ++s) {
+    for (unsigned w = 0; w < bus::kNumMasters; ++w) {
+      for (unsigned h = 0; h < bus::kNumMasters; ++h) {
+        const u64 c = sri_.interference(static_cast<bus::MasterId>(w),
+                                        static_cast<bus::MasterId>(h), s);
+        if (c == 0) continue;
+        report.add_interference(std::string(sri_.slave_name(s)),
+                                bus::to_string(static_cast<bus::MasterId>(w)),
+                                bus::to_string(static_cast<bus::MasterId>(h)),
+                                c);
+      }
+    }
+  }
 }
 
 bool Soc::quiescent() const {

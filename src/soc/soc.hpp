@@ -263,11 +263,14 @@ class Soc {
   /// gate/bail counts). All zero under ExecTier::kAccurate.
   const ExecTierStats& exec_stats() const { return exec_stats_; }
 
-  /// Fill `report.exec_tier` from exec_stats(): tier name, window/cycle
-  /// coverage split, and the nonzero gate/bail decline reasons sorted
-  /// descending. Shared by every RunReport producer (audo-profile,
-  /// audo-faultcamp, benches) so the block always means the same thing.
-  void fill_exec_tier_report(telemetry::RunReport& report) const;
+  /// Fill the report's run block from this chip: cycles, TC instructions
+  /// and IPC, the fast-forward block with its wake sources, and the exec
+  /// tier block (tier name, window/cycle coverage split, and the nonzero
+  /// gate/bail decline reasons sorted descending); then the per-core
+  /// stall attribution and the nonzero interference cells. Shared by
+  /// every RunReport producer (audo-profile, audo-faultcamp, benches) so
+  /// the blocks always mean the same thing.
+  void fill_run_report(telemetry::RunReport& report) const;
 
   Cycle cycle() const { return cycle_; }
   const mcds::ObservationFrame& frame() const { return frame_; }

@@ -322,11 +322,11 @@ int main(int argc, char** argv) {
     report.config_name = chip.name;
     report.config_fingerprint = chip.fingerprint();
     report.seed = seed;
-    report.cycles = total_cycles;
     report.jobs = jobs == 0 ? host::SimPool::hardware_jobs() : jobs;
     report.set_host(host);
-    // Component metrics come from one instrumented fault-free run (the
-    // campaign's workers are transient and keep no registries). Skipped
+    // Component metrics and the run block come from one instrumented
+    // fault-free run (the campaign's workers are transient and keep no
+    // registries); only its cycle count is the campaign's total. Skipped
     // on abort: flushing the classification data matters more than
     // burning seconds on a full metrics run after Ctrl-C.
     soc::Soc golden(chip);
@@ -334,23 +334,10 @@ int main(int argc, char** argv) {
       telemetry::MetricsRegistry registry;
       golden.register_metrics(registry);
       golden.run(budget);
-      report.instructions = golden.tc().retired();
-      report.sim_ipc = golden.cycle() > 0
-                           ? static_cast<double>(golden.tc().retired()) /
-                                 static_cast<double>(golden.cycle())
-                           : 0.0;
       report.metrics = registry.collect(golden.cycle());
-      report.fast_forward_enabled = golden.config().fast_forward;
-      report.ff_skipped_cycles = golden.ff_stats().skipped_cycles;
-      report.ff_wakeups = golden.ff_stats().wakeups;
-      golden.fill_exec_tier_report(report);
-      for (unsigned s = 0; s < soc::kNumWakeSources; ++s) {
-        if (golden.ff_stats().wake_counts[s] == 0) continue;
-        report.add_wake_source(
-            soc::to_string(static_cast<soc::WakeSource>(s)),
-            golden.ff_stats().wake_counts[s]);
-      }
+      golden.fill_run_report(report);
     }
+    report.cycles = total_cycles;
     summary.fill_report(report);
     report.add_extra("classification_hash",
                      static_cast<double>(summary.classification_hash()));
