@@ -71,10 +71,6 @@ u64 EmulationDevice::idle_skip_limit(const mcds::ObservationFrame& idle) {
 
 void EmulationDevice::skip_idle(const mcds::ObservationFrame& idle, u64 n) {
   mcds_.skip_idle(idle, n);
-  if (soc::SocTracer* tracer = soc_.tracer(); tracer != nullptr) {
-    tracer->skip_idle_eec(idle.cycle, idle.cycle + n, emem_.occupancy_bytes(),
-                          emem_.total_pushed_messages());
-  }
 }
 
 void EmulationDevice::register_metrics(

@@ -202,22 +202,9 @@ void SocTracer::skip_idle(const mcds::ObservationFrame& idle, u64 n) {
     counted_to = s;
     sample_counters(s);
     next_sample_ = s + options_.counter_interval;
+    if (eec_observed_ && s >= next_eec_sample_) sample_eec(s);
   }
   interval_cycles_ += to - counted_to;
-}
-
-void SocTracer::skip_idle_eec(Cycle from, Cycle to, usize emem_occupancy_bytes,
-                              u64 trace_messages) {
-  while (true) {
-    const Cycle s = std::max<Cycle>(next_eec_sample_, from + 1);
-    if (s > to) break;
-    timeline_.counter("EMEM fill bytes", s,
-                      static_cast<double>(emem_occupancy_bytes));
-    timeline_.counter("trace msgs", s,
-                      static_cast<double>(trace_messages - last_trace_messages_));
-    last_trace_messages_ = trace_messages;
-    next_eec_sample_ = s + options_.counter_interval;
-  }
 }
 
 void SocTracer::observe_eec(Cycle now, usize emem_occupancy_bytes,
@@ -226,14 +213,19 @@ void SocTracer::observe_eec(Cycle now, usize emem_occupancy_bytes,
     timeline_.instant(eec_track_, "trace drop", now);
     last_dropped_ = dropped_messages;
   }
-  if (now >= next_eec_sample_) {
-    timeline_.counter("EMEM fill bytes", now,
-                      static_cast<double>(emem_occupancy_bytes));
-    timeline_.counter("trace msgs", now,
-                      static_cast<double>(trace_messages - last_trace_messages_));
-    last_trace_messages_ = trace_messages;
-    next_eec_sample_ = now + options_.counter_interval;
-  }
+  eec_observed_ = true;
+  emem_occupancy_bytes_ = emem_occupancy_bytes;
+  trace_messages_ = trace_messages;
+  if (now >= next_eec_sample_) sample_eec(now);
+}
+
+void SocTracer::sample_eec(Cycle now) {
+  timeline_.counter("EMEM fill bytes", now,
+                    static_cast<double>(emem_occupancy_bytes_));
+  timeline_.counter("trace msgs", now,
+                    static_cast<double>(trace_messages_ - last_trace_messages_));
+  last_trace_messages_ = trace_messages_;
+  next_eec_sample_ = now + options_.counter_interval;
 }
 
 void SocTracer::finish(Cycle now) {

@@ -59,14 +59,11 @@ class SocTracer final : public FrameObserver {
   /// frame had been observed: each core's parked span opens at the first
   /// skipped cycle and extends over the window, and the counter-sampling
   /// schedule replays with identical sample cycles and zero-valued series.
+  /// With an EEC side, each sample point's EEC sample follows its SoC
+  /// sample, as stepping orders them, with the values observe_eec last
+  /// received: the MCDS emits nothing within its idle-skip limit and a
+  /// draining stream never skips, so they hold across the window.
   void skip_idle(const mcds::ObservationFrame& idle, u64 n) override;
-
-  /// EEC-side counterpart for the Emulation Device's fast-forward path:
-  /// replays the EEC sampling schedule over the idle window with the
-  /// (constant) occupancy and cumulative message count. Drop counts cannot
-  /// change while the SoC is quiescent, so no instants are emitted.
-  void skip_idle_eec(Cycle from, Cycle to, usize emem_occupancy_bytes,
-                     u64 trace_messages);
 
   /// Close all open spans and flush pending counters; call once after the
   /// run, before exporting.
@@ -94,6 +91,7 @@ class SocTracer final : public FrameObserver {
                     Cycle now);
   void close_core_span(CoreState& core, Cycle now);
   void sample_counters(Cycle now);
+  void sample_eec(Cycle now);
 
   Options options_;
   telemetry::Timeline timeline_;
@@ -120,7 +118,10 @@ class SocTracer final : public FrameObserver {
   // interval_cycles_ — replay bit-identically to stepping them).
   std::array<u64, mcds::kNumStallRootCauses> interval_stall_root_{};
 
-  // EEC-side deltas.
+  // EEC side: what observe_eec last received, and the sampled deltas.
+  bool eec_observed_ = false;
+  usize emem_occupancy_bytes_ = 0;
+  u64 trace_messages_ = 0;
   Cycle next_eec_sample_ = 0;
   u64 last_trace_messages_ = 0;
   u64 last_dropped_ = 0;
