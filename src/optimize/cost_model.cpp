@@ -1,35 +1,8 @@
 #include "optimize/cost_model.hpp"
 
-#include <algorithm>
-
 #include "common/bits.hpp"
-#include "profiling/dag.hpp"
 
 namespace audo::optimize {
-
-MeasuredSlack measured_slack_from_dag(const profiling::DagAnalysis& dag) {
-  MeasuredSlack m;
-  m.run_cycles = dag.total_cycles;
-  m.critical_path_cycles = dag.critical_path_cycles;
-  for (const profiling::DagTaskSummary& t : dag.tasks) {
-    if (t.kind == profiling::DagNodeKind::kIdle) continue;
-    m.tasks.push_back(MeasuredSlack::TaskSlack{t.task, t.cycles, t.slack});
-  }
-  return m;
-}
-
-double CostModel::task_speedup_bound(const MeasuredSlack& m,
-                                     std::string_view task) const {
-  const MeasuredSlack::TaskSlack* t = m.find(task);
-  if (t == nullptr || m.run_cycles == 0) return 1.0;
-  // Only cycles beyond the task's slack sit on the critical path; the
-  // rest is shadowed by concurrent work and removing it moves nothing.
-  const u64 critical_share = t->cycles > t->slack ? t->cycles - t->slack : 0;
-  const double f = std::min(static_cast<double>(critical_share) /
-                                static_cast<double>(m.run_cycles),
-                            0.95);
-  return 1.0 / (1.0 - f);
-}
 
 double CostModel::cache_area(const cache::CacheConfig& cache) const {
   if (!cache.enabled) return 0.0;

@@ -11,7 +11,6 @@
 #include "common/prng.hpp"
 #include "helpers.hpp"
 #include "host/sim_pool.hpp"
-#include "optimize/cost_model.hpp"
 #include "profiling/dag.hpp"
 #include "workload/engine.hpp"
 #include "workload/transmission.hpp"
@@ -374,49 +373,6 @@ TEST(ExecutionDag, LabelsAndHashAreDeterministic) {
       EXPECT_EQ(labels, reference_labels);
     }
   }
-}
-
-// ---- slack feeds the cost model -------------------------------------
-
-TEST(ExecutionDag, SlackBoundsOptimizationHeadroom) {
-  auto built = workload::build_engine_workload(engine_options());
-  ASSERT_TRUE(built.is_ok()) << built.status().to_string();
-
-  soc::Soc soc(test::small_config());
-  ExecutionDag dag{isa::SymbolMap(built.value().program)};
-  soc.set_frame_observer(&dag);
-  ASSERT_TRUE(workload::install_engine(soc, built.value()).is_ok());
-  soc.run(5'000'000);
-  ASSERT_TRUE(soc.tc().halted());
-
-  const optimize::MeasuredSlack measured =
-      optimize::measured_slack_from_dag(dag.analysis());
-  EXPECT_EQ(measured.run_cycles, dag.analysis().total_cycles);
-  EXPECT_EQ(measured.critical_path_cycles,
-            dag.analysis().critical_path_cycles);
-  ASSERT_FALSE(measured.tasks.empty());
-  for (const auto& t : measured.tasks) EXPECT_NE(t.task, "idle");
-
-  const optimize::CostModel cost;
-  for (const auto& t : measured.tasks) {
-    const double bound = cost.task_speedup_bound(measured, t.task);
-    EXPECT_GE(bound, 1.0) << t.task;
-    // A fully slack-shielded task buys nothing end to end.
-    if (t.slack >= t.cycles) {
-      EXPECT_DOUBLE_EQ(bound, 1.0) << t.task;
-    }
-  }
-  EXPECT_DOUBLE_EQ(cost.task_speedup_bound(measured, "no-such-task"), 1.0);
-
-  // Arithmetic pin on a hand-built measurement: a task occupying half
-  // the run with no slack bounds at exactly 2x.
-  optimize::MeasuredSlack synthetic;
-  synthetic.run_cycles = 1000;
-  synthetic.critical_path_cycles = 1000;
-  synthetic.tasks.push_back({"hot", 500, 0});
-  synthetic.tasks.push_back({"shielded", 400, 400});
-  EXPECT_DOUBLE_EQ(cost.task_speedup_bound(synthetic, "hot"), 2.0);
-  EXPECT_DOUBLE_EQ(cost.task_speedup_bound(synthetic, "shielded"), 1.0);
 }
 
 // ---- bit-identity: fast-forward modes and host job counts -----------
